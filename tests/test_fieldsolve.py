@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import erf
 
 from vpme import fieldsolve as fs
@@ -27,6 +28,20 @@ def _background(grid, kind="gaussian", scale=1.0, center=(0.0, 0.0, 0.0)):
 # ---------------------------------------------------------------------------
 # ion part against closed forms
 # ---------------------------------------------------------------------------
+
+
+def test_dstn_matches_scipy_dst1_and_is_an_involution():
+    # prime and composite m+1; 22, 30 and 46 are the interiors of the 24^3,
+    # 32^3 and 48^3 grids
+    rng = np.random.default_rng(0)
+    cubes = [rng.standard_normal((m, m, m)) for m in (6, 22, 30, 46, 47, 126)]
+    strided = rng.standard_normal((44, 22, 25))[::2, :, 1:-2]
+    assert not strided.flags.c_contiguous
+    for x in cubes + [strided]:
+        tol = 1e-12 * float(np.abs(x).max())
+        y = fs.dstn(x)
+        assert np.abs(y - scipy.fft.dstn(x, type=1, norm="ortho")).max() <= tol
+        assert np.abs(fs.dstn(y) - x).max() <= tol
 
 
 def test_ball_potential_center_value_and_order():
@@ -138,7 +153,8 @@ def test_newton_agrees_with_damped_picard_oracle():
         bc = fs._monopole_values(grid, -mhat, fs._centroid(src, grid), eps2)
         rhs = src[1:-1, 1:-1, 1:-1] / eps2
         rhs -= fs._lap_interior(fs._assemble(grid, np.zeros_like(rhs), bc), h)
-        interior = fs._dst3(fs._dst3(rhs) / -fs._neg_lap_eigs(rhs.shape[0], h))
+        coef = scipy.fft.dstn(rhs, type=1, norm="ortho") / -fs._neg_lap_eigs(rhs.shape[0], h)
+        interior = scipy.fft.dstn(coef, type=1, norm="ortho")
         new = fs._assemble(grid, interior, bc)
         step = float(np.abs(new - uh).max())
         uh = (1.0 - theta) * uh + theta * new
