@@ -35,11 +35,6 @@ def _build_parser():
     p_run.add_argument("--config", required=True, help="scenario INI file")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    p_run.add_argument(
-        "--strict-reduce",
-        action="store_true",
-        help="record fixed-order reductions in metadata (already the only mode)",
-    )
 
     p_sweep = sub.add_parser("sweep", help="run the scenario once per epsilon")
     p_sweep.add_argument("--config", required=True)
@@ -57,7 +52,7 @@ def _build_parser():
 
 def _cmd_run(args):
     cfg = _config.load_config(args.config)
-    artifacts = runner.run(cfg, args.out, seed=args.seed, strict_reduce=args.strict_reduce)
+    artifacts = runner.run(cfg, args.out, seed=args.seed)
     print(f"run ok: {artifacts.timeseries_path}")
     return EXIT_OK
 

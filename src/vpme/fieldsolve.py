@@ -8,13 +8,15 @@ The potential is split as U = Ubar + Uhat:
 Both pieces use the 7-point Laplacian with Dirichlet data closed by a
 monopole tail: +M/(4 pi eps^2 r) for the ion part and -mhat/(4 pi eps^2 r)
 for the electron part, where M and mhat are the respective source masses and
-r is the distance to the source centroid. mhat and the centroid are lagged
-one outer iteration.
+r is the distance to the source centroid. The electron mass mhat depends on
+the solution, so it is solved for as one more Newton unknown beside the
+interior values; the centroid is refreshed after each accepted Newton step.
 
 The linear solve is a type-1 DST diagonalization (exact for this stencil,
 defect-corrected if rounding ever leaves a residual above contract). The
-nonlinear solve is damped Newton; the Jacobian solve is conjugate gradients
-on -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the exact DST
+nonlinear solve is damped Newton; the scalar mass unknown is eliminated by a
+Schur complement, so each step is two conjugate-gradient solves on
+-eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the exact DST
 inverse of -eps^2 Lap + mean(w).
 
 The 3-D DST-I (``dstn``) is applied as three BLAS matrix products with one
@@ -44,9 +46,7 @@ GAUSS_GATE = 1e-8
 COLD_START_EPS = 0.2
 MASS_RTOL = 1e-12
 MAX_NEWTON = 200
-MAX_OUTER = 40
 MAX_CG = 500
-_MASS_LOG_STEP = math.log(16.0)
 
 
 class FieldSolveError(RuntimeError):
@@ -321,18 +321,21 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     Cold starts below eps = 0.2 begin from the quasi-neutral screening
     guess instead of zero.
 
-    The monopole boundary row depends on the electron mass, which depends
-    on the solution, so the scalar mass is iterated outside the Newton
-    loop.  Plain lagging has feedback gain of order 1/eps^2 and two-cycles
-    in the screened regime; the mass response is strictly decreasing and
-    roughly exponential in the boundary mass, so the update is a bracketed
-    secant in log coordinates with a capped step.
+    The monopole boundary row -mu K, K = 1/(4 pi eps^2 r), depends on the
+    electron mass, which depends on the solution, so the scalar mu is a
+    Newton unknown beside the interior Uhat, with the mass residual
+    G = vol sum(g e^U) - mu. The mass responds to mu with a gain of order
+    1/eps^2, which an update of mu outside the Newton loop cannot settle to
+    round-off at small eps. Each step eliminates mu by a Schur complement,
+    so both linear solves are the interior CG. The centroid in r is
+    refreshed after each accepted step.
     """
     _check_epsilon(epsilon)
     grid = ubar.grid
     h = grid.spacing
     eps2 = epsilon**2
     vol = grid.cell_volume
+    inner = np.s_[1:-1, 1:-1, 1:-1]
 
     if initial is None and epsilon < COLD_START_EPS:
         initial = _quasi_neutral_guess(ubar, g, eps2, h)
@@ -359,140 +362,80 @@ def solve_uhat(ubar, g, epsilon, initial=None):
             )
         return out
 
+    def _residuals(u, src, mu):
+        f = eps2 * _lap_interior(u, h) - src[inner]
+        return f, float(src.sum()) * vol - mu
+
     src = _src_of(uh)
     contract_tol = CONTRACT_RTOL * max(1.0, float(src.max()))
     # the electron mass uses the same all-nodes sum as the ion mass so the
     # two monopole closures cancel exactly at neutrality
     mu = float(src.sum()) * vol
-    # the solved field is nonpositive, so the unscreened integral caps the
-    # electron mass rigorously; the cap goes inactive if exp overflows
-    with np.errstate(over="ignore"):
-        unscreened = float((g.values * np.exp(ubv)).sum()) * vol
-    mu_cap = unscreened if math.isfinite(unscreened) else math.inf
-    mu = min(mu, mu_cap)
-    lo = hi = None  # (log mu, log mhat - log mu) bracket around the fixed point
-    prev = None
-    side = 0
-    res = math.inf
-    gap = math.inf
+    prev_res = math.inf
 
-    for _ in range(MAX_OUTER):
-        bc = _monopole_values(grid, -mu, _centroid(src, grid), eps2)
-        _set_boundary(uh, bc)
-
-        # interior Newton with the boundary row frozen
-        spent = False
-        prev_res = math.inf
-        while True:
-            f = eps2 * _lap_interior(uh, h) - src[1:-1, 1:-1, 1:-1]
-            res = float(np.abs(f).max())
-            history.append(res)
-            target = NEWTON_TARGET_RTOL * max(1.0, float(src.max()))
-            at_floor = res >= 0.5 * prev_res and res <= 100.0 * target
-            if res <= target or at_floor:
-                break
-            if accepted >= MAX_NEWTON:
-                spent = True
-                break
-            prev_res = res
-
-            w = src[1:-1, 1:-1, 1:-1]
-            shift = float(w.mean())
-            delta, iters = _pcg(
-                lambda x: -eps2 * _lap_zero_dirichlet(x, h) + w * x,
-                lambda r: _shifted_lap_solve(r, h, eps2, shift),
-                f,
-                NEWTON_CG_RTOL,
-            )
-            cg_total += iters
-
-            alpha = 1.0
-            stuck = False
-            while True:
-                trial = uh.copy()
-                trial[1:-1, 1:-1, 1:-1] += alpha * delta
-                with np.errstate(over="ignore"):
-                    trial_src = g.values * np.exp(ubv + trial)
-                f_trial = eps2 * _lap_interior(trial, h) - trial_src[1:-1, 1:-1, 1:-1]
-                res_trial = float(np.abs(f_trial).max()) if np.isfinite(f_trial).all() else math.inf
-                if res_trial < res:
-                    uh = trial
-                    accepted += 1
-                    break
-                alpha *= 0.5
-                if alpha < 2.0**-30:
-                    if res > contract_tol:
-                        raise FieldSolveError(
-                            f"electron Newton line search stagnated at residual {res:.3e}; "
-                            "retry from a warm start near the solution",
-                            residual=res,
-                        )
-                    # roundoff floor for this boundary row; the outer mass
-                    # update decides whether it is the converged state
-                    stuck = True
-                    break
-            if stuck:
-                break
-            src = _src_of(uh)
-
-        mhat = float(src.sum()) * vol
-        gap = mhat - mu
-        if abs(gap) <= MASS_RTOL * max(1.0, mhat):
+    while True:
+        # boundary row per unit electron mass, K = 1/(4 pi eps^2 r)
+        kern = _monopole_values(grid, 1.0, _centroid(src, grid), eps2)
+        uh = _assemble(grid, uh[inner], -mu * kern)
+        src = _src_of(uh)
+        f, gap = _residuals(uh, src, mu)
+        res = float(np.abs(f).max())
+        history.append(res)
+        target = NEWTON_TARGET_RTOL * max(1.0, float(src.max()))
+        at_floor = res >= 0.5 * prev_res and res <= 100.0 * target
+        mass_ok = abs(gap) <= MASS_RTOL * max(1.0, mu + gap)
+        if mass_ok and (res <= target or at_floor):
             return _finish_uhat(grid, uh, accepted, res, history, cg_total)
-        if spent:
+        if accepted >= MAX_NEWTON:
             raise FieldSolveError(
                 f"electron Newton did not converge in {MAX_NEWTON} iterations "
-                f"(residual {res:.3e}); retry from a warm start near the solution",
+                f"(residual {res:.3e}, mass imbalance {gap:.3e}); "
+                "retry from a warm start near the solution",
                 residual=res,
             )
-        lmu = math.log(max(mu, 1e-300))
-        err = math.log(max(mhat, 1e-300)) - lmu
-        # Illinois rule: a repeated side halves the stale endpoint so the
-        # bracket fallback cannot creep one-sided on a convex response
-        if err > 0.0:
-            if side > 0 and hi is not None:
-                hi = (hi[0], 0.5 * hi[1])
-            lo = (lmu, err)
-            side = 1
-        else:
-            if side < 0 and lo is not None:
-                lo = (lo[0], 0.5 * lo[1])
-            hi = (lmu, err)
-            side = -1
-        # secant through the last two samples converges superlinearly from
-        # warm starts; the bracket, once closed, safeguards the step
-        lnext = None
-        if prev is not None and err != prev[1]:
-            lnext = lmu - err * (lmu - prev[0]) / (err - prev[1])
-        if lo is not None and hi is not None:
-            span = hi[0] - lo[0]
-            inside = lnext is not None and (
-                lo[0] + 0.01 * span <= lnext <= hi[0] - 0.01 * span
+        prev_res = res
+
+        # Newton system [[-A, c], [vol w^T, dG/dmu]] [du, dmu] = -[F, G] with
+        # A = -eps^2 Lap_h + diag(w) and c = dF/dmu, the boundary row folded
+        # onto the interior; eliminating dmu leaves two solves with A
+        w = src[inner]
+        shift = float(w.mean())
+        (z1, it1), (z2, it2) = (
+            _pcg(
+                lambda x: -eps2 * _lap_zero_dirichlet(x, h) + w * x,
+                lambda r: _shifted_lap_solve(r, h, eps2, shift),
+                rhs,
+                NEWTON_CG_RTOL,
             )
-            if not inside:
-                lnext = lo[0] + span * lo[1] / (lo[1] - hi[1])
-                if not lo[0] < lnext < hi[0]:
-                    lnext = lo[0] + 0.5 * span
-        elif lnext is None:
-            lnext = lmu + err  # relag toward the root side until bracketed
-        prev = (lmu, err)
-        # capped step keeps the interior solves in warm-start range
-        lnext = min(max(lnext, lmu - _MASS_LOG_STEP), lmu + _MASS_LOG_STEP)
-        mu = min(math.exp(lnext), mu_cap)
-    raise FieldSolveError(
-        f"electron boundary mass did not settle in {MAX_OUTER} updates "
-        f"(last imbalance {gap:.3e}); retry from a warm start near the solution",
-        residual=res,
-    )
+            for rhs in (f, eps2 * _fold_boundary(np.zeros_like(f), kern, h))
+        )
+        cg_total += it1 + it2
+        dgdmu = -1.0 - vol * float((src * kern).sum())
+        dmu = -(gap + vol * float(np.vdot(w, z1))) / (dgdmu + vol * float(np.vdot(w, z2)))
+        delta = z1 + dmu * z2
 
-
-def _set_boundary(u, bc):
-    u[0] = bc[0]
-    u[-1] = bc[-1]
-    u[:, 0] = bc[:, 0]
-    u[:, -1] = bc[:, -1]
-    u[:, :, 0] = bc[:, :, 0]
-    u[:, :, -1] = bc[:, :, -1]
+        merit = max(res, abs(gap))
+        alpha = 1.0
+        while True:
+            mu_trial = mu + alpha * dmu
+            trial = _assemble(grid, uh[inner] + alpha * delta, -mu_trial * kern)
+            with np.errstate(over="ignore"):
+                trial_src = g.values * np.exp(ubv + trial)
+            f_trial, gap_trial = _residuals(trial, trial_src, mu_trial)
+            merit_trial = max(float(np.abs(f_trial).max()), abs(gap_trial))
+            if np.isfinite(trial_src).all() and merit_trial < merit:
+                uh, mu, src = trial, mu_trial, trial_src
+                accepted += 1
+                break
+            alpha *= 0.5
+            if alpha < 2.0**-30:
+                if res <= contract_tol and mass_ok:
+                    return _finish_uhat(grid, uh, accepted, res, history, cg_total)
+                raise FieldSolveError(
+                    f"electron Newton line search stagnated at residual {res:.3e} "
+                    f"(mass imbalance {gap:.3e}); retry from a warm start near the solution",
+                    residual=res,
+                )
 
 
 def _finish_uhat(grid, uh, iterations, residual, history, cg_total):

@@ -109,10 +109,6 @@ def current_from_arrays(positions, velocities, weights, grid):
     return VectorField(grid, raw / grid.cell_volume)
 
 
-def deposit_current(ensemble, grid):
-    return current_from_arrays(ensemble.positions, ensemble.velocities, ensemble.weights, grid)
-
-
 def interpolate(field, positions):
     """Gather a vector field at one position (3,) or a batch (n, 3).
 

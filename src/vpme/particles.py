@@ -3,12 +3,11 @@
 Tracked per particle besides phase-space state: the initial velocity (for the
 max velocity deviation sup|v(t) - v(0)|) and the running time integral of |E|
 along the trajectory (whose max over particles bounds that deviation from
-above, by the triangle inequality applied to each kick). Checkpointed copies
-of the integral allow windowed suprema between any two checkpoint times.
+above, by the triangle inequality applied to each kick).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +60,6 @@ class ParticleEnsemble:
     weights: np.ndarray
     initial_velocities: np.ndarray = None
     field_integral: np.ndarray = None
-    checkpoint_integrals: list = field(default_factory=list)
     escaped_mass: float = 0.0
 
     def __post_init__(self):
@@ -94,11 +92,6 @@ class ParticleEnsemble:
     def total_weight(self):
         return float(self.weights.sum())
 
-    def checkpoint(self):
-        """Snapshot the per-particle field integral; returns its index."""
-        self.checkpoint_integrals.append(self.field_integral.copy())
-        return len(self.checkpoint_integrals) - 1
-
 
 # ---------------------------------------------------------------------------
 # velocity diagnostics
@@ -120,15 +113,6 @@ def q_star(ensemble):
 def q_tt(ensemble):
     """Largest accumulated integral of |E| along any trajectory."""
     return float(ensemble.field_integral.max())
-
-
-def q_windowed(ensemble, start, stop):
-    """Largest integral of |E| between checkpoints ``start`` and ``stop``."""
-    ncp = len(ensemble.checkpoint_integrals)
-    if not (0 <= start <= stop < ncp):
-        raise IndexError(f"checkpoint window [{start}, {stop}] outside 0..{ncp - 1}")
-    diff = ensemble.checkpoint_integrals[stop] - ensemble.checkpoint_integrals[start]
-    return float(diff.max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Simulation driver: run loop, epsilon sweeps, report assembly, plot tables.
 
 Loop shape: deposit rho -> solve field -> kick-drift-kick with that field,
-strictly in that order; every checkpoint the midpoint current is deposited,
-diagnostics recorded, and the per-particle field integrals snapshotted. The
-electron solve warm-starts from the previous step's correction.
+strictly in that order; every checkpoint the midpoint current is deposited
+and diagnostics recorded. The electron solve warm-starts from the previous
+step's correction.
 
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
@@ -68,12 +68,10 @@ def _snapshot(snapshot_dir, step_index, solution):
         mesh.write_field(snapshot_dir / f"{tag}_{name}.field", name, fld)
 
 
-def run(cfg, out_dir, seed=None, strict_reduce=False):
+def run(cfg, out_dir, seed=None):
     """Execute one scenario into ``out_dir``; returns RunArtifacts.
 
-    ``seed`` overrides the configured one. ``strict_reduce`` is recorded in
-    the metadata; fixed-order serial reductions are the only mode this
-    implementation has, so the flag does not change behavior.
+    ``seed`` overrides the configured one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,7 +119,6 @@ def run(cfg, out_dir, seed=None, strict_reduce=False):
             "scenario_hash": cfg.scenario_hash(),
             "seed": seed,
             "status": status,
-            "strict_reduce": bool(strict_reduce),
             "time": {
                 "dt": cfg.time.dt,
                 "t_end": cfg.time.t_end,
@@ -152,7 +149,6 @@ def run(cfg, out_dir, seed=None, strict_reduce=False):
 
         acc.record(0.0, ens, sol, g, rho, 0.0)
         field_rows.append(diagnostics.field_table_row(0.0, sol, g))
-        ens.checkpoint()
         if snapshot_dir is not None:
             _snapshot(snapshot_dir, 0, sol)
 
@@ -178,7 +174,6 @@ def run(cfg, out_dir, seed=None, strict_reduce=False):
                 cres = diagnostics.continuity_residual(rho_prev, rho, j_mid, dt)
                 acc.record(n * dt, ens, sol, g, rho, cres)
                 field_rows.append(diagnostics.field_table_row(n * dt, sol, g))
-                ens.checkpoint()
                 for msg in pusher.stability_check(ens, sol, cfg.grid, dt):
                     if msg not in advisories:
                         advisories.append(msg)
@@ -204,7 +199,7 @@ def run(cfg, out_dir, seed=None, strict_reduce=False):
     )
 
 
-def sweep(cfg, epsilons, out_dir, seed=None, strict_reduce=False):
+def sweep(cfg, epsilons, out_dir, seed=None):
     """Run the scenario once per epsilon (same seed); failures are recorded."""
     if not epsilons:
         raise ValueError("sweep needs at least one epsilon value")
@@ -215,7 +210,7 @@ def sweep(cfg, epsilons, out_dir, seed=None, strict_reduce=False):
         member_dir = f"eps_{eps:g}"
         entry = {"epsilon": eps, "dir": member_dir, "status": "ok", "error": None}
         try:
-            run(cfg.with_epsilon(eps), out / member_dir, seed=seed, strict_reduce=strict_reduce)
+            run(cfg.with_epsilon(eps), out / member_dir, seed=seed)
         except (EscapedMassError, fieldsolve.FieldSolveError, ValueError) as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)

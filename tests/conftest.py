@@ -71,7 +71,7 @@ def load_run(path):
 
 
 def _execute(cfg, out_dir):
-    runner.run(cfg, out_dir, strict_reduce=True)
+    runner.run(cfg, out_dir)
     return load_run(out_dir)
 
 
@@ -109,5 +109,5 @@ def freestream_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def sweep_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    runner.sweep(make_scenario(), [1.0, 0.7, 0.5], out, strict_reduce=True)
+    runner.sweep(make_scenario(), [1.0, 0.7, 0.5], out)
     return out

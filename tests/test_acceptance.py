@@ -244,7 +244,7 @@ def test_criterion_10_epsilon_sweep_bound_and_reproducible_report(sweep_dir):
 
 def test_criterion_11_same_seed_runs_are_byte_identical(baseline_run, sweep_dir):
     # the eps = 0.5 sweep member re-runs the baseline scenario with the same
-    # seed under strict reductions
+    # seed; every reduction is serial and in a fixed order
     member = sweep_dir / "eps_0.5"
     same_series = (
         baseline_run.dir / runner.TIMESERIES_NAME

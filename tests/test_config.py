@@ -113,14 +113,13 @@ def test_load_config_missing_and_malformed_files(tmp_path):
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
     cfg = small_scenario()
-    a = runner.run(cfg, tmp_path / "a", strict_reduce=True)
-    b = runner.run(cfg, tmp_path / "b", strict_reduce=True)
+    a = runner.run(cfg, tmp_path / "a")
+    b = runner.run(cfg, tmp_path / "b")
     assert a.timeseries_path.read_bytes() == b.timeseries_path.read_bytes()
     assert a.field_table_path.read_bytes() == b.field_table_path.read_bytes()
     meta_a = json.loads(a.meta_path.read_text())
     meta_b = json.loads(b.meta_path.read_text())
     assert meta_a["scenario_hash"] == meta_b["scenario_hash"]
-    assert meta_a["strict_reduce"] is True
 
 
 def test_seed_override_changes_the_series(tmp_path):
@@ -189,7 +188,7 @@ def _small_ini(tmp_path):
 def test_cli_run_verify_plot_chain(tmp_path, capsys):
     ini = _small_ini(tmp_path)
     out = tmp_path / "run"
-    assert cli.main(["run", "--config", str(ini), "--out", str(out), "--strict-reduce"]) == 0
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
     assert (out / runner.TIMESERIES_NAME).exists()
 
     assert cli.main(["verify", "--path", str(out)]) == 0

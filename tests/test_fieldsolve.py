@@ -15,8 +15,12 @@ import scipy.fft
 from scipy.special import erf
 
 from vpme import fieldsolve as fs
+from vpme import runner
 from vpme.mesh import GridSpec, ScalarField, evaluate_g
 from vpme.profiles import SpatialProfile
+from vpme.pusher import TimeSpec
+
+from conftest import load_run, make_scenario
 
 
 def _background(grid, kind="gaussian", scale=1.0, center=(0.0, 0.0, 0.0)):
@@ -182,6 +186,44 @@ def test_screening_limit_approaches_quasi_neutral_log_ratio():
         assert sol.uhat.values.max() <= fs.UHAT_POSITIVE_TOL
         gaps.append(gap)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def test_boundary_row_is_the_monopole_of_the_returned_electron_mass():
+    # the closure solved for: Uhat = -mhat/(4 pi eps^2 r) on the faces, with
+    # mhat and the centroid taken from the returned field itself
+    grid = GridSpec(half_width=2.0, nodes=32)
+    rho = ScalarField(grid, _background(grid, scale=0.9).values * 0.999)
+    g = _background(grid)
+    eps = 0.05
+    sol = fs.solve_field(rho, g, eps)
+    src = g.values * np.exp(sol.u.values)
+    mhat = float(src.sum()) * grid.cell_volume
+    expected = fs._monopole_values(grid, -mhat, fs._centroid(src, grid), eps**2)
+    faces = np.ones(src.shape, dtype=bool)
+    faces[1:-1, 1:-1, 1:-1] = False
+    gap = np.abs(sol.uhat.values[faces] - expected[faces]).max()
+    # frozen run: 2.1e-15 relative
+    assert gap <= fs.MASS_RTOL * np.abs(expected[faces]).max()
+
+
+def test_quasi_neutral_run_at_eps_005_completes(tmp_path):
+    # 32^3 nodes, 2e4 ions at eps = 0.05: a secant on the boundary mass
+    # outside the Newton loop stalled at a 1.6e-10 mass imbalance after
+    # t = 0.075 on this seed
+    cfg = make_scenario(
+        grid=GridSpec(half_width=4.0, nodes=32),
+        count=20_000,
+        epsilon=0.05,
+        time=TimeSpec(dt=0.005, t_end=16 * 0.005, checkpoint_every=1),
+    )
+    runner.run(cfg, tmp_path)
+    run = load_run(tmp_path)
+    assert run.meta["status"] == "ok"
+    assert len(run.series["t"]) == 17
+    scale = np.maximum(1.0, run.fields["geU_Linf"])
+    assert (run.series["residual_inf"] <= fs.CONTRACT_RTOL * scale).all()
+    assert (np.abs(run.series["gauss_imbalance"]) <= fs.GAUSS_GATE).all()
+    assert (run.fields["uhat_max"] <= fs.UHAT_POSITIVE_TOL).all()
 
 
 def test_warm_restart_from_solution_costs_no_newton_steps():

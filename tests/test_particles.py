@@ -100,25 +100,6 @@ def test_constant_force_deviation_matches_time():
     assert particles.q_tt(ens) == pytest.approx(n * dt, rel=1e-14)
 
 
-def test_checkpoint_windows():
-    ens = ParticleEnsemble(
-        positions=np.zeros((2, 3)), velocities=np.zeros((2, 3)), weights=np.ones(2)
-    )
-    ens.checkpoint()
-    ens.field_integral += np.array([1.0, 3.0])
-    ens.checkpoint()
-    ens.field_integral += np.array([2.0, 0.5])
-    ens.checkpoint()
-    assert particles.q_windowed(ens, 0, 1) == pytest.approx(3.0)
-    assert particles.q_windowed(ens, 1, 2) == pytest.approx(2.0)
-    assert particles.q_windowed(ens, 0, 2) == pytest.approx(3.5)
-    assert particles.q_windowed(ens, 0, 0) == 0.0
-    with pytest.raises(IndexError):
-        particles.q_windowed(ens, 0, 3)
-    with pytest.raises(IndexError):
-        particles.q_windowed(ens, 2, 1)
-
-
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
