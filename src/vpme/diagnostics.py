@@ -101,7 +101,7 @@ class DiagnosticsAccumulator:
 
     def record(self, t, ensemble, field_solution, g, rho, continuity_res):
         kin, fld, ele, tot = energy(ensemble, field_solution, g)
-        moments = {k: particles.instantaneous_moment(ensemble, k) for k in self.k_list}
+        moments = particles.instantaneous_moments(ensemble, self.k_list)
         for k in self.k_list:
             self.running[k] = max(self.running[k], moments[k])
         geu_l1 = float((g.values * np.exp(field_solution.u.values)).sum() * g.grid.cell_volume)

@@ -3,11 +3,23 @@
 Two interchangeable backends. The numba one is used when importable unless
 the environment variable VPME_NUMBA is set to "0"; the numpy one is the
 fallback and the reference. Both are serial with a fixed particle order, so
-same-seed runs are bitwise reproducible on either backend.
+same-seed runs are bitwise reproducible on either backend. Without numba the
+nb_* kernels stay plain Python, which the tests run as the second backend.
 
 Particles outside the node box [x0, x0 + (N-1)h]^3 deposit nothing and see a
 zero field; their skipped weight is returned so callers can track escaped
 mass. Deposit and gather share the same trilinear weights (adjoint pair).
+
+The numpy kernels address the C-ordered node array through one flat index:
+`_cic` gives each in-box particle its base node (ix*N + iy)*N + iz and yields
+the eight corners as (flat offset, weight) in the fixed order dz fastest,
+then dy, then dx, with weight (wx*wy)*wz. Deposits scatter with np.add.at on
+the flattened array (one strided component view at a time for vectors), and
+the gather takes from one contiguous plane per component. Every node and
+particle component thus receives the same products in the same order as a
+per-corner (ix, iy, iz) fancy index would give it, so the results are
+bitwise those of that formulation; tests/test_kernels.py keeps it as the
+oracle.
 
 EDGE_TOL (in index units) absorbs the rounding of (x - x0)/h for particles
 sitting exactly on the box faces; without it a node-lattice particle at +L
@@ -39,60 +51,72 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # ---------------------------------------------------------------------------
 
 
-def _cic_setup(pos, x0, h, nodes):
-    """Cell indices and fractional offsets for in-box particles."""
+def _cic(pos, x0, h, nodes):
+    """In-box mask, flat base node index and the eight (offset, weight) corners.
+
+    Corner (dx, dy, dz) sits at base + (dx*N + dy)*N + dz with weight
+    (wx*wy)*wz, wx being 1 - fx or fx. The corners are yielded one at a time
+    so that one corner's weights are alive at once, not eight.
+    """
     s = (pos - x0) / h
-    inbox = ((s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)).all(axis=1)
-    s = np.clip(s[inbox], 0.0, nodes - 1.0)
+    ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
+    inbox = ok[:, 0] & ok[:, 1] & ok[:, 2]
+    s = np.clip(s.compress(inbox, axis=0), 0.0, nodes - 1.0)
     idx = np.minimum(s.astype(np.int64), nodes - 2)
     frac = s - idx
-    return inbox, idx, frac
-
-
-def _corner_weights(frac):
+    base = (idx[:, 0] * nodes + idx[:, 1]) * nodes + idx[:, 2]
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-    return (
-        (0, 0, 0, gx * gy * gz),
-        (0, 0, 1, gx * gy * fz),
-        (0, 1, 0, gx * fy * gz),
-        (0, 1, 1, gx * fy * fz),
-        (1, 0, 0, fx * gy * gz),
-        (1, 0, 1, fx * gy * fz),
-        (1, 1, 0, fx * fy * gz),
-        (1, 1, 1, fx * fy * fz),
-    )
+
+    def corners():
+        for dx, wx in ((0, gx), (1, fx)):
+            for dy, wy in ((0, gy), (1, fy)):
+                wxy = wx * wy
+                for dz, wz in ((0, gz), (1, fz)):
+                    yield (dx * nodes + dy) * nodes + dz, wxy * wz
+
+    return inbox, base, corners()
+
+
+def _flat_view(out):
+    # reshape copies a non-contiguous array, and the deposit would be lost
+    if not out.flags.c_contiguous:
+        raise ValueError("deposit target must be C-contiguous")
+    return out.reshape(-1)
 
 
 def np_deposit(pos, weights, x0, h, nodes, out):
-    inbox, idx, frac = _cic_setup(pos, x0, h, nodes)
+    inbox, base, corners = _cic(pos, x0, h, nodes)
     w = weights[inbox]
-    for dx, dy, dz, cw in _corner_weights(frac):
-        np.add.at(out, (idx[:, 0] + dx, idx[:, 1] + dy, idx[:, 2] + dz), w * cw)
+    flat = _flat_view(out)
+    for off, cw in corners:
+        np.add.at(flat, base + off, w * cw)
     return float(w.sum())
 
 
 def np_deposit_vec(pos, weights, vec, x0, h, nodes, out):
-    inbox, idx, frac = _cic_setup(pos, x0, h, nodes)
+    inbox, base, corners = _cic(pos, x0, h, nodes)
     w = weights[inbox]
-    v = vec[inbox]
-    for dx, dy, dz, cw in _corner_weights(frac):
-        np.add.at(
-            out,
-            (idx[:, 0] + dx, idx[:, 1] + dy, idx[:, 2] + dz),
-            (w * cw)[:, None] * v,
-        )
+    cols = vec.compress(inbox, axis=0).T.copy()
+    rows = _flat_view(out).reshape(-1, vec.shape[1])
+    for off, cw in corners:
+        at, wcw = base + off, w * cw
+        for c, col in enumerate(cols):
+            np.add.at(rows[:, c], at, wcw * col)
     return float(w.sum())
 
 
 def np_gather_vec(grid, pos, x0, h, out):
     nodes = grid.shape[0]
-    inbox, idx, frac = _cic_setup(pos, x0, h, nodes)
+    inbox, base, corners = _cic(pos, x0, h, nodes)
+    planes = [np.ascontiguousarray(grid[..., c]).reshape(-1) for c in range(grid.shape[3])]
+    acc = np.zeros((len(planes), base.shape[0]))
+    for off, cw in corners:
+        at = base + off
+        for a, plane in zip(acc, planes):
+            a += cw * plane.take(at)
     out[:] = 0.0
-    acc = np.zeros((idx.shape[0], grid.shape[3]))
-    for dx, dy, dz, cw in _corner_weights(frac):
-        acc += cw[:, None] * grid[idx[:, 0] + dx, idx[:, 1] + dy, idx[:, 2] + dz]
-    out[inbox] = acc
+    out[inbox] = acc.T
     return out
 
 

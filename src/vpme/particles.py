@@ -98,10 +98,15 @@ class ParticleEnsemble:
 # ---------------------------------------------------------------------------
 
 
+def instantaneous_moments(ensemble, ks):
+    """{k: sum_p w_p |v_p|^k} for each k in ks, from one pass over the speeds."""
+    speed = np.sqrt((ensemble.velocities**2).sum(axis=1))
+    return {k: float((ensemble.weights * speed**k).sum()) for k in ks}
+
+
 def instantaneous_moment(ensemble, k):
     """k-th absolute velocity moment sum_p w_p |v_p|^k."""
-    speed = np.sqrt((ensemble.velocities**2).sum(axis=1))
-    return float((ensemble.weights * speed**k).sum())
+    return instantaneous_moments(ensemble, (k,))[k]
 
 
 def q_star(ensemble):

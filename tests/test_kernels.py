@@ -19,14 +19,85 @@ def _cloud(n, spread=1.8):
 
 
 def _both_backends():
-    pairs = [
-        ("numpy", kernels.np_deposit, kernels.np_deposit_vec, kernels.np_gather_vec, kernels.np_push_kdk)
+    # without numba the nb_* kernels are their plain-Python bodies
+    return [
+        ("numpy", kernels.np_deposit, kernels.np_deposit_vec, kernels.np_gather_vec, kernels.np_push_kdk),
+        ("numba", kernels.nb_deposit, kernels.nb_deposit_vec, kernels.nb_gather_vec, kernels.nb_push_kdk),
     ]
-    if kernels.HAVE_NUMBA:
-        pairs.append(
-            ("numba", kernels.nb_deposit, kernels.nb_deposit_vec, kernels.nb_gather_vec, kernels.nb_push_kdk)
-        )
-    return pairs
+
+
+def _ref_corners(pos, nodes):
+    # the reference numpy CIC: 3-tuple node indices and per-corner weights,
+    # in the corner order and product order the flat-index kernels keep
+    s = (pos - X0) / H
+    inbox = ((s >= -kernels.EDGE_TOL) & (s <= nodes - 1.0 + kernels.EDGE_TOL)).all(axis=1)
+    s = np.clip(s[inbox], 0.0, nodes - 1.0)
+    idx = np.minimum(s.astype(np.int64), nodes - 2)
+    f = s - idx
+    g = 1.0 - f
+    corners = []
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                cw = (f if dx else g)[:, 0] * (f if dy else g)[:, 1] * (f if dz else g)[:, 2]
+                corners.append(((idx[:, 0] + dx, idx[:, 1] + dy, idx[:, 2] + dz), cw))
+    return inbox, corners
+
+
+def _ref_deposit(pos, w, vec, nodes):
+    inbox, corners = _ref_corners(pos, nodes)
+    rho, cur = np.zeros((nodes,) * 3), np.zeros((nodes,) * 3 + (3,))
+    for at, cw in corners:
+        np.add.at(rho, at, w[inbox] * cw)
+        np.add.at(cur, at, (w[inbox] * cw)[:, None] * vec[inbox])
+    return float(w[inbox].sum()), rho, cur
+
+
+def _ref_gather(grid, pos):
+    inbox, corners = _ref_corners(pos, grid.shape[0])
+    acc = np.zeros((int(inbox.sum()), 3))
+    for at, cw in corners:
+        acc += cw[:, None] * grid[at]
+    out = np.zeros_like(pos)
+    out[inbox] = acc
+    return out
+
+
+def _oracle_cloud():
+    # interior and far-out particles, box faces and corners, and exact nodes
+    pos, w, vec = _cloud(2000, spread=2.6)
+    nodes = X0 + H * RNG.integers(0, NODES, (100, 3))
+    faces = RNG.uniform(-L, L, (60, 3))
+    faces[np.arange(60), RNG.integers(0, 3, 60)] = RNG.choice([-L, L], 60)
+    corners = L * np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+    pos = np.concatenate([pos, nodes, faces, corners])
+    n = pos.shape[0]
+    return pos, RNG.uniform(0.1, 2.0, n), RNG.standard_normal((n, 3))
+
+
+def test_numpy_kernels_match_reference_bitwise():
+    pos, w, vec = _oracle_cloud()
+    assert ((np.abs(pos) > L).any(axis=1)).sum() > 100
+    inbox, rho, cur = _ref_deposit(pos, w, vec, NODES)
+    out = np.zeros((NODES,) * 3)
+    assert kernels.np_deposit(pos, w, X0, H, NODES, out) == inbox
+    assert (out == rho).all()
+    out = np.zeros((NODES,) * 3 + (3,))
+    assert kernels.np_deposit_vec(pos, w, vec, X0, H, NODES, out) == inbox
+    assert (out == cur).all()
+    grid = RNG.standard_normal((NODES,) * 3 + (3,))
+    got = np.full_like(pos, np.nan)
+    kernels.np_gather_vec(grid, pos, X0, H, got)
+    assert (got == _ref_gather(grid, pos)).all()
+
+
+def test_numpy_deposit_rejects_a_strided_target():
+    # a reshaped copy would take the deposit and drop it silently
+    pos, w, vec = _cloud(10)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.np_deposit(pos, w, X0, H, NODES, np.zeros((NODES,) * 3 + (2,))[..., 0])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.np_deposit_vec(pos, w, vec, X0, H, NODES, np.zeros((NODES,) * 3 + (6,))[..., ::2])
 
 
 def test_deposit_conserves_inbox_mass():
@@ -123,8 +194,6 @@ def test_deposit_gather_adjoint():
 
 
 def test_backends_agree_bitwise_scalar_deposit():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
     pos, w, vec = _cloud(1000)
     a = np.zeros((NODES,) * 3)
     b = np.zeros((NODES,) * 3)
@@ -139,8 +208,6 @@ def test_backends_agree_bitwise_scalar_deposit():
 
 
 def test_backends_agree_on_push():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
     pos, w, _ = _cloud(300)
     vel = RNG.standard_normal((300, 3))
     egrid = RNG.standard_normal((NODES, NODES, NODES, 3))
