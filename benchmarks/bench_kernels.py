@@ -2,7 +2,7 @@
 
 Both implementations live in vpme.kernels regardless of which one the
 package selected at import, so a single process can compare them and
-cross-check that they agree to rounding on the same inputs. Without numba
+cross-check that they agree on the same inputs. Without numba
 only the numpy kernels are timed. The workload mirrors the demo scenario
 shape (1e5 particles on a 48^3 node grid).
 
@@ -96,9 +96,9 @@ def main():
         t_nb = _median_ms(nb_fn, args.repeats)
         print(f"{name:<12} {t_np:>10.2f} {t_nb:>10.2f} {t_np / t_nb:>7.1f}x")
 
-    # agreement check: the backends accumulate in different orders (corner-major
-    # vs particle-major), so they match to rounding, not bitwise; each backend
-    # is bitwise reproducible against itself
+    # agreement check: both backends apply one CIC definition, and the push
+    # is bitwise equal when the nb_* bodies run as plain Python; compiled
+    # numba may fuse multiply-adds, so the gap printed here need not be zero
     pa, va, fa, xma, vma = state()
     pb, vb, fb, xmb, vmb = state()
     kernels.np_push_kdk(pa, va, fa, egrid, x0, h, 0.005, xma, vma)

@@ -5,8 +5,6 @@ Floats are written with repr() (shortest round-trip form), so identical runs
 produce byte-identical files and parsing loses nothing.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fieldsolve, mesh, particles
@@ -51,27 +49,6 @@ class SchemaError(ValueError):
     """A persisted table does not match its frozen schema."""
 
 
-@dataclass
-class DiagnosticsRecord:
-    t: float
-    kinetic_energy: float
-    field_energy: float
-    electron_energy: float
-    total_energy: float
-    moments: dict
-    running_mk: dict
-    q_tt: float
-    q_star: float
-    rho_inf: float
-    rho_53: float
-    electron_l1: float
-    gauss_imbalance: float
-    newton_iterations: int
-    final_residual_inf: float
-    continuity_residual: float
-    escaped_mass: float
-
-
 def energy(ensemble, field_solution, g):
     """Discrete energy functional split: (kinetic, field, electron, total)."""
     kinetic = float((ensemble.weights * (ensemble.velocities**2).sum(axis=1)).sum())
@@ -97,66 +74,41 @@ class DiagnosticsAccumulator:
     def __init__(self, m1):
         self.k_list = (2.0, float(m1), 3.0)
         self.running = {k: 0.0 for k in self.k_list}
-        self.records = []
+        self._rows = []
 
     def record(self, t, ensemble, field_solution, g, rho, continuity_res):
         kin, fld, ele, tot = energy(ensemble, field_solution, g)
         moments = particles.instantaneous_moments(ensemble, self.k_list)
         for k in self.k_list:
             self.running[k] = max(self.running[k], moments[k])
-        geu_l1 = float((g.values * np.exp(field_solution.u.values)).sum() * g.grid.cell_volume)
-        rec = DiagnosticsRecord(
-            t=t,
-            kinetic_energy=kin,
-            field_energy=fld,
-            electron_energy=ele,
-            total_energy=tot,
-            moments=moments,
-            running_mk=dict(self.running),
-            q_tt=particles.q_tt(ensemble),
-            q_star=particles.q_star(ensemble),
-            rho_inf=float(rho.values.max()),
-            rho_53=float((rho.values ** (5.0 / 3.0)).sum() * rho.grid.cell_volume) ** 0.6,
-            electron_l1=geu_l1,
-            gauss_imbalance=field_solution.gauss_imbalance,
-            newton_iterations=field_solution.newton_iterations,
-            final_residual_inf=field_solution.residual_inf,
-            continuity_residual=continuity_res,
-            escaped_mass=ensemble.escaped_mass,
-        )
-        self.records.append(rec)
-        return rec
+        k2, km, k3 = self.k_list
+        self._rows.append([  # in COLUMNS order
+            t,
+            kin,
+            fld,
+            ele,
+            tot,
+            moments[k2],
+            moments[km],
+            moments[k3],
+            self.running[k2],
+            self.running[km],
+            self.running[k3],
+            particles.q_tt(ensemble),
+            particles.q_star(ensemble),
+            float(rho.values.max()),
+            float((rho.values ** (5.0 / 3.0)).sum() * rho.grid.cell_volume) ** 0.6,
+            float((g.values * np.exp(field_solution.u.values)).sum() * g.grid.cell_volume),
+            field_solution.gauss_imbalance,
+            field_solution.newton_iterations,
+            field_solution.residual_inf,
+            continuity_res,
+            ensemble.escaped_mass,
+        ])
 
     def rows(self):
-        k2, km, k3 = self.k_list
-        out = []
-        for r in self.records:
-            out.append(
-                [
-                    r.t,
-                    r.kinetic_energy,
-                    r.field_energy,
-                    r.electron_energy,
-                    r.total_energy,
-                    r.moments[k2],
-                    r.moments[km],
-                    r.moments[k3],
-                    r.running_mk[k2],
-                    r.running_mk[km],
-                    r.running_mk[k3],
-                    r.q_tt,
-                    r.q_star,
-                    r.rho_inf,
-                    r.rho_53,
-                    r.electron_l1,
-                    r.gauss_imbalance,
-                    r.newton_iterations,
-                    r.final_residual_inf,
-                    r.continuity_residual,
-                    r.escaped_mass,
-                ]
-            )
-        return out
+        """The recorded rows, each in COLUMNS order."""
+        return self._rows
 
 
 # ---------------------------------------------------------------------------

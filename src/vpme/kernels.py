@@ -1,21 +1,29 @@
 """Particle-grid hot loops: cloud-in-cell deposit/gather and the leapfrog push.
 
-Two interchangeable backends. The numba one is used when importable unless
-the environment variable VPME_NUMBA is set to "0"; the numpy one is the
-fallback and the reference. Both are serial with a fixed particle order, so
-same-seed runs are bitwise reproducible on either backend. Without numba the
-nb_* kernels stay plain Python, which the tests run as the second backend.
+Two interchangeable backends: the numba one whenever numba is importable,
+else the numpy one, which is the reference. Both are serial with a fixed
+particle order, so same-seed runs are bitwise reproducible on either backend.
+Without numba the nb_* kernels stay plain Python, which the tests run as the
+second backend.
 
 Particles outside the node box [x0, x0 + (N-1)h]^3 deposit nothing and see a
 zero field; their skipped weight is returned so callers can track escaped
 mass. Deposit and gather share the same trilinear weights (adjoint pair).
 
+Both backends use one CIC definition. A particle is in the box when
+-EDGE_TOL <= s <= N-1+EDGE_TOL on each axis, s = (x - x0)/h; s is clamped to
+[0, N-1], the base index to N-2, and the eight corners come in the order dz
+fastest, then dy, then dx, with weight (wx*wy)*wz (a deposit adds w*weight).
+`_cic` applies it to all particles at once, `_nb_cic` to one. A gather and a
+push thus give bitwise the same result on both backends (as plain Python;
+compiled code may fuse multiply-adds). Deposits sum each node corner-major on
+numpy and particle-major on numba, so they agree to rounding.
+
 The numpy kernels address the C-ordered node array through one flat index:
 `_cic` gives each in-box particle its base node (ix*N + iy)*N + iz and yields
-the eight corners as (flat offset, weight) in the fixed order dz fastest,
-then dy, then dx, with weight (wx*wy)*wz. Deposits scatter with np.add.at on
-the flattened array (one strided component view at a time for vectors), and
-the gather takes from one contiguous plane per component. Every node and
+the eight corners as (flat offset, weight). Deposits scatter with np.add.at
+on the flattened array (one strided component view at a time for vectors),
+and the gather takes from one contiguous plane per component. Every node and
 particle component thus receives the same products in the same order as a
 per-corner (ix, iy, iz) fancy index would give it, so the results are
 bitwise those of that formulation; tests/test_kernels.py keeps it as the
@@ -25,8 +33,6 @@ EDGE_TOL (in index units) absorbs the rounding of (x - x0)/h for particles
 sitting exactly on the box faces; without it a node-lattice particle at +L
 can land at N-1 plus one ulp and be miscounted as escaped.
 """
-
-import os
 
 import numpy as np
 
@@ -141,131 +147,81 @@ def np_push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid):
 
 
 @njit(cache=True, inline="always")
-def _nb_clamp(s, top):
-    if s < 0.0:
-        return 0.0
-    if s > top:
-        return top
-    return s
+def _nb_cic(x, y, z, x0, h, nodes):
+    """One particle's base node (ix, iy, iz) and fractions, by `_cic`'s rule.
+
+    ix is -1 for a particle outside the node box (a NaN coordinate included).
+    """
+    top = nodes - 1.0
+    lo, hi = -EDGE_TOL, top + EDGE_TOL
+    sx = (x - x0) / h
+    sy = (y - x0) / h
+    sz = (z - x0) / h
+    if not (lo <= sx <= hi and lo <= sy <= hi and lo <= sz <= hi):
+        return -1, 0, 0, 0.0, 0.0, 0.0
+    sx = min(max(sx, 0.0), top)
+    sy = min(max(sy, 0.0), top)
+    sz = min(max(sz, 0.0), top)
+    ix = min(int(sx), nodes - 2)
+    iy = min(int(sy), nodes - 2)
+    iz = min(int(sz), nodes - 2)
+    return ix, iy, iz, sx - ix, sy - iy, sz - iz
 
 
 @njit(cache=True)
 def nb_deposit(pos, weights, x0, h, nodes, out):
     inbox = 0.0
-    top = nodes - 1.0
     for p in range(pos.shape[0]):
-        sx = (pos[p, 0] - x0) / h
-        sy = (pos[p, 1] - x0) / h
-        sz = (pos[p, 2] - x0) / h
-        if (
-            sx < -EDGE_TOL
-            or sy < -EDGE_TOL
-            or sz < -EDGE_TOL
-            or sx > top + EDGE_TOL
-            or sy > top + EDGE_TOL
-            or sz > top + EDGE_TOL
-        ):
+        ix, iy, iz, fx, fy, fz = _nb_cic(pos[p, 0], pos[p, 1], pos[p, 2], x0, h, nodes)
+        if ix < 0:
             continue
-        sx = _nb_clamp(sx, top)
-        sy = _nb_clamp(sy, top)
-        sz = _nb_clamp(sz, top)
-        ix = min(int(sx), nodes - 2)
-        iy = min(int(sy), nodes - 2)
-        iz = min(int(sz), nodes - 2)
-        fx = sx - ix
-        fy = sy - iy
-        fz = sz - iz
         w = weights[p]
         inbox += w
-        out[ix, iy, iz] += w * (1 - fx) * (1 - fy) * (1 - fz)
-        out[ix, iy, iz + 1] += w * (1 - fx) * (1 - fy) * fz
-        out[ix, iy + 1, iz] += w * (1 - fx) * fy * (1 - fz)
-        out[ix, iy + 1, iz + 1] += w * (1 - fx) * fy * fz
-        out[ix + 1, iy, iz] += w * fx * (1 - fy) * (1 - fz)
-        out[ix + 1, iy, iz + 1] += w * fx * (1 - fy) * fz
-        out[ix + 1, iy + 1, iz] += w * fx * fy * (1 - fz)
-        out[ix + 1, iy + 1, iz + 1] += w * fx * fy * fz
+        for dx in range(2):
+            wx = fx if dx else 1.0 - fx
+            for dy in range(2):
+                wxy = wx * (fy if dy else 1.0 - fy)
+                for dz in range(2):
+                    cw = wxy * (fz if dz else 1.0 - fz)
+                    out[ix + dx, iy + dy, iz + dz] += w * cw
     return inbox
 
 
 @njit(cache=True)
 def nb_deposit_vec(pos, weights, vec, x0, h, nodes, out):
     inbox = 0.0
-    top = nodes - 1.0
     for p in range(pos.shape[0]):
-        sx = (pos[p, 0] - x0) / h
-        sy = (pos[p, 1] - x0) / h
-        sz = (pos[p, 2] - x0) / h
-        if (
-            sx < -EDGE_TOL
-            or sy < -EDGE_TOL
-            or sz < -EDGE_TOL
-            or sx > top + EDGE_TOL
-            or sy > top + EDGE_TOL
-            or sz > top + EDGE_TOL
-        ):
+        ix, iy, iz, fx, fy, fz = _nb_cic(pos[p, 0], pos[p, 1], pos[p, 2], x0, h, nodes)
+        if ix < 0:
             continue
-        sx = _nb_clamp(sx, top)
-        sy = _nb_clamp(sy, top)
-        sz = _nb_clamp(sz, top)
-        ix = min(int(sx), nodes - 2)
-        iy = min(int(sy), nodes - 2)
-        iz = min(int(sz), nodes - 2)
-        fx = sx - ix
-        fy = sy - iy
-        fz = sz - iz
         w = weights[p]
         inbox += w
-        for c in range(vec.shape[1]):
-            q = w * vec[p, c]
-            out[ix, iy, iz, c] += q * (1 - fx) * (1 - fy) * (1 - fz)
-            out[ix, iy, iz + 1, c] += q * (1 - fx) * (1 - fy) * fz
-            out[ix, iy + 1, iz, c] += q * (1 - fx) * fy * (1 - fz)
-            out[ix, iy + 1, iz + 1, c] += q * (1 - fx) * fy * fz
-            out[ix + 1, iy, iz, c] += q * fx * (1 - fy) * (1 - fz)
-            out[ix + 1, iy, iz + 1, c] += q * fx * (1 - fy) * fz
-            out[ix + 1, iy + 1, iz, c] += q * fx * fy * (1 - fz)
-            out[ix + 1, iy + 1, iz + 1, c] += q * fx * fy * fz
+        for dx in range(2):
+            wx = fx if dx else 1.0 - fx
+            for dy in range(2):
+                wxy = wx * (fy if dy else 1.0 - fy)
+                for dz in range(2):
+                    wcw = w * (wxy * (fz if dz else 1.0 - fz))
+                    for c in range(vec.shape[1]):
+                        out[ix + dx, iy + dy, iz + dz, c] += wcw * vec[p, c]
     return inbox
 
 
 @njit(cache=True, inline="always")
 def _nb_gather_one(grid, x, y, z, x0, h, nodes, out, p):
-    top = nodes - 1.0
-    sx = (x - x0) / h
-    sy = (y - x0) / h
-    sz = (z - x0) / h
-    if (
-        sx < -EDGE_TOL
-        or sy < -EDGE_TOL
-        or sz < -EDGE_TOL
-        or sx > top + EDGE_TOL
-        or sy > top + EDGE_TOL
-        or sz > top + EDGE_TOL
-    ):
-        for c in range(out.shape[1]):
-            out[p, c] = 0.0
-        return
-    sx = _nb_clamp(sx, top)
-    sy = _nb_clamp(sy, top)
-    sz = _nb_clamp(sz, top)
-    ix = min(int(sx), nodes - 2)
-    iy = min(int(sy), nodes - 2)
-    iz = min(int(sz), nodes - 2)
-    fx = sx - ix
-    fy = sy - iy
-    fz = sz - iz
+    ix, iy, iz, fx, fy, fz = _nb_cic(x, y, z, x0, h, nodes)
     for c in range(out.shape[1]):
-        out[p, c] = (
-            grid[ix, iy, iz, c] * (1 - fx) * (1 - fy) * (1 - fz)
-            + grid[ix, iy, iz + 1, c] * (1 - fx) * (1 - fy) * fz
-            + grid[ix, iy + 1, iz, c] * (1 - fx) * fy * (1 - fz)
-            + grid[ix, iy + 1, iz + 1, c] * (1 - fx) * fy * fz
-            + grid[ix + 1, iy, iz, c] * fx * (1 - fy) * (1 - fz)
-            + grid[ix + 1, iy, iz + 1, c] * fx * (1 - fy) * fz
-            + grid[ix + 1, iy + 1, iz, c] * fx * fy * (1 - fz)
-            + grid[ix + 1, iy + 1, iz + 1, c] * fx * fy * fz
-        )
+        out[p, c] = 0.0
+    if ix < 0:
+        return
+    for dx in range(2):
+        wx = fx if dx else 1.0 - fx
+        for dy in range(2):
+            wxy = wx * (fy if dy else 1.0 - fy)
+            for dz in range(2):
+                cw = wxy * (fz if dz else 1.0 - fz)
+                for c in range(out.shape[1]):
+                    out[p, c] += cw * grid[ix + dx, iy + dy, iz + dz, c]
 
 
 @njit(cache=True)
@@ -282,14 +238,14 @@ def nb_push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid):
     e = np.empty((1, 3))
     for p in range(pos.shape[0]):
         _nb_gather_one(egrid, pos[p, 0], pos[p, 1], pos[p, 2], x0, h, nodes, e, 0)
-        a1 = np.sqrt(e[0, 0] ** 2 + e[0, 1] ** 2 + e[0, 2] ** 2)
+        a1 = np.sqrt(e[0, 0] * e[0, 0] + e[0, 1] * e[0, 1] + e[0, 2] * e[0, 2])
         for c in range(3):
             vel[p, c] += 0.5 * dt * e[0, c]
             vmid[p, c] = vel[p, c]
             xmid[p, c] = pos[p, c] + 0.5 * dt * vel[p, c]
             pos[p, c] += dt * vel[p, c]
         _nb_gather_one(egrid, pos[p, 0], pos[p, 1], pos[p, 2], x0, h, nodes, e, 0)
-        a2 = np.sqrt(e[0, 0] ** 2 + e[0, 1] ** 2 + e[0, 2] ** 2)
+        a2 = np.sqrt(e[0, 0] * e[0, 0] + e[0, 1] * e[0, 1] + e[0, 2] * e[0, 2])
         for c in range(3):
             vel[p, c] += 0.5 * dt * e[0, c]
         fint[p] += 0.5 * dt * (a1 + a2)
@@ -299,9 +255,7 @@ def nb_push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid):
 # backend selection
 # ---------------------------------------------------------------------------
 
-USE_NUMBA = HAVE_NUMBA and os.environ.get("VPME_NUMBA", "1") != "0"
-
-if USE_NUMBA:
+if HAVE_NUMBA:
     deposit = nb_deposit
     deposit_vec = nb_deposit_vec
     gather_vec = nb_gather_vec

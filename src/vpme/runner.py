@@ -236,8 +236,7 @@ def _load_run(path):
     return series, fields, meta
 
 
-def _run_report(path, omega=None):
-    series, fields, meta = _load_run(path)
+def _run_report(series, fields, meta, omega=None):
     checks = verify.run_checks(series, meta, omega=omega)
     return {
         "kind": "run",
@@ -267,7 +266,7 @@ def verify_path(path, omega=None):
     if (path / SWEEP_INDEX_NAME).exists():
         report = _sweep_report(path, omega)
     elif (path / TIMESERIES_NAME).exists():
-        report = _run_report(path, omega)
+        report = _run_report(*_load_run(path), omega)
     else:
         raise FileNotFoundError(f"{path} holds neither a run nor a sweep")
     verify.emit_report(report, path / REPORT_NAME)
@@ -287,29 +286,21 @@ def _sweep_report(path, omega=None):
         if entry["status"] != "ok":
             skipped.append({"dir": entry["dir"], "error": entry["error"]})
             continue
-        member_path = path / entry["dir"]
-        sub = _run_report(member_path, omega)
+        series, fields, meta = _load_run(path / entry["dir"])
+        sub = _run_report(series, fields, meta, omega)
         members.append(sub)
-        series, fields, meta = _load_run(member_path)
         eff_omega = sub["omega"] if eff_omega is None else eff_omega
         fit_points.append(
             {
-                "epsilon": meta["epsilon"],
+                "epsilon": sub["epsilon"],
                 "q_final": float(series["q_tt"][-1]),
                 "t_final": float(series["t"][-1]),
             }
         )
-        ehat_entries.append(
-            {"epsilon": meta["epsilon"], "ehat_sup": float(np.max(fields["ehat_sup"]))}
-        )
+        ehat_entries.append({"epsilon": sub["epsilon"], "ehat_sup": sub["ehat_sup_max"]})
         norm_entries.append(
-            {
-                "epsilon": meta["epsilon"],
-                "geU_L1": float(np.max(fields["geU_L1"])),
-                "geU_L2": float(np.max(fields["geU_L2"])),
-                "geU_L3": float(np.max(fields["geU_L3"])),
-                "geU_Linf": float(np.max(fields["geU_Linf"])),
-            }
+            {"epsilon": sub["epsilon"]}
+            | {f"geU_{k}": v for k, v in sub["electron_norms_max"].items()}
         )
     if len(fit_points) >= 3:
         fit = verify.fit_main_bound(fit_points, verify.DEFAULT_OMEGA if eff_omega is None else eff_omega)

@@ -103,6 +103,7 @@ def test_numpy_deposit_rejects_a_strided_target():
 def test_deposit_conserves_inbox_mass():
     pos, w, _ = _cloud(500)
     pos[:20] += 10.0  # park some particles far outside
+    pos[20:25, 1] = np.nan  # a NaN position has escaped too
     for name, dep, _, _, _ in _both_backends():
         out = np.zeros((NODES,) * 3)
         inbox = dep(pos, w, X0, H, NODES, out)
@@ -154,9 +155,9 @@ def test_edge_particles_are_kept():
 
 def test_gather_zero_outside_box():
     grid = RNG.standard_normal((NODES, NODES, NODES, 3))
-    pos = np.array([[L + 0.5, 0.0, 0.0], [0.0, -L - 1e-6, 0.0]])
+    pos = np.array([[L + 0.5, 0.0, 0.0], [0.0, -L - 1e-6, 0.0], [0.0, np.nan, 0.0]])
     for name, _, _, gather, _ in _both_backends():
-        out = np.empty((2, 3))
+        out = np.empty((3, 3))
         gather(grid, pos, X0, H, out)
         assert (out == 0.0).all(), name
 
@@ -222,6 +223,34 @@ def test_backends_agree_on_push():
         state[name] = (p, v, fint, xm, vm)
     for a, b in zip(state["numpy"], state["numba"]):
         assert np.allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="compiled code may fuse multiply-adds")
+def test_backends_agree_bitwise_on_one_cic_definition():
+    # one CIC rule on both backends: the gather and the push are bitwise
+    # equal; a deposit is too when particles come one at a time, since only
+    # the order of each node's sum differs between the backends
+    pos, w, vec = _oracle_cloud()
+    grid = RNG.standard_normal((NODES,) * 3 + (3,))
+    singles = RNG.permutation(len(pos))[:50]
+    got = {}
+    for name, dep, dep_vec, gather, push in _both_backends():
+        e = np.full_like(pos, np.nan)
+        gather(grid, pos, X0, H, e)
+        p, v, fint = pos.copy(), vec.copy(), np.zeros(len(pos))
+        xm, vm = np.empty_like(p), np.empty_like(v)
+        for _ in range(3):
+            push(p, v, fint, grid, X0, H, 0.05, xm, vm)
+        rho, cur = np.zeros((NODES,) * 3), np.zeros((NODES,) * 3 + (3,))
+        inbox = []
+        for i in singles:
+            one = slice(i, i + 1)
+            inbox.append(dep(pos[one], w[one], X0, H, NODES, rho))
+            inbox.append(dep_vec(pos[one], w[one], vec[one], X0, H, NODES, cur))
+        got[name] = (e, p, v, fint, xm, vm, rho, cur, np.array(inbox))
+    assert np.count_nonzero(got["numpy"][-1]) > 0
+    for a, b in zip(got["numpy"], got["numba"]):
+        assert (a == b).all()
 
 
 def test_push_semantics_single_particle():
