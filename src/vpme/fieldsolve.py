@@ -212,7 +212,7 @@ def _centroid(values, grid):
     return (values[..., None] * coords).reshape(-1, 3).sum(axis=0) / total
 
 
-def _assemble(grid, interior, bc):
+def _assemble(interior, bc):
     full = bc.copy()
     full[1:-1, 1:-1, 1:-1] = interior
     return full
@@ -271,7 +271,7 @@ def solve_ubar(rho, epsilon):
     rhs = -rho.values[1:-1, 1:-1, 1:-1] / eps2
     _fold_boundary(rhs, bc, h)
     interior = -dstn(dstn(rhs) / _neg_lap_eigs(rhs.shape[0], h))
-    u = _assemble(grid, interior, bc)
+    u = _assemble(interior, bc)
 
     scale = max(math.sqrt(float(np.vdot(rho.values, rho.values))), 1e-300)
 
@@ -376,7 +376,7 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     while True:
         # boundary row per unit electron mass, K = 1/(4 pi eps^2 r)
         kern = _monopole_values(grid, 1.0, _centroid(src, grid), eps2)
-        uh = _assemble(grid, uh[inner], -mu * kern)
+        uh = _assemble(uh[inner], -mu * kern)
         src = _src_of(uh)
         f, gap = _residuals(uh, src, mu)
         res = float(np.abs(f).max())
@@ -418,7 +418,7 @@ def solve_uhat(ubar, g, epsilon, initial=None):
         alpha = 1.0
         while True:
             mu_trial = mu + alpha * dmu
-            trial = _assemble(grid, uh[inner] + alpha * delta, -mu_trial * kern)
+            trial = _assemble(uh[inner] + alpha * delta, -mu_trial * kern)
             with np.errstate(over="ignore"):
                 trial_src = g.values * np.exp(ubv + trial)
             f_trial, gap_trial = _residuals(trial, trial_src, mu_trial)

@@ -339,11 +339,10 @@ def plot_data(path):
         return _plot_sweep(path)
     if not (path / TIMESERIES_NAME).exists():
         raise FileNotFoundError(f"no run artifacts at {path}")
-    return _plot_run(path)
+    return _plot_run(path, diagnostics.read_timeseries(path / TIMESERIES_NAME))
 
 
-def _plot_run(path):
-    series = diagnostics.read_timeseries(path / TIMESERIES_NAME)
+def _plot_run(path, series):
     plot_dir = path / "plots"
     plot_dir.mkdir(exist_ok=True)
     t = series["t"]
@@ -384,8 +383,8 @@ def _plot_sweep(path):
         if entry["status"] != "ok":
             continue
         member = path / entry["dir"]
-        written.extend(_plot_run(member))
         series = diagnostics.read_timeseries(member / TIMESERIES_NAME)
+        written.extend(_plot_run(member, series))
         eps = entry["epsilon"]
         rows.append([eps, 1.0 / eps**2, float(series["q_tt"][-1])])
     plot_dir = path / "plots"

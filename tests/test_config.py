@@ -1,6 +1,11 @@
 """Scenario files, canonical echo, run artifacts, CLI exit codes."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,7 +176,7 @@ def test_run_metadata_advisories_record_box_leakage(tmp_path):
     art = runner.run(cfg, tmp_path / "adv")
     meta = json.loads(art.meta_path.read_text())
     assert any("outside the box" in a for a in meta["advisories"])
-    assert meta["backend"] in ("numba", "numpy")
+    assert meta["backend"] == "numpy"
     assert meta["boundary_closure"] == "monopole"
 
 
@@ -220,6 +225,37 @@ def test_cli_sweep_and_report(tmp_path):
 
     assert cli.main(["plot-data", "--path", str(out)]) == 0
     assert (out / "plots" / "q_vs_inv_eps2.tsv").exists()
+
+
+def test_plot_data_parses_each_sweep_member_once(tmp_path, monkeypatch):
+    out = tmp_path / "sweep"
+    runner.run(small_scenario(time=TimeSpec(dt=0.01, t_end=0.02, checkpoint_every=1)), out / "eps_1")
+    shutil.copytree(out / "eps_1", out / "eps_0.8")
+    runs = [
+        {"epsilon": 1.0, "dir": "eps_1", "status": "ok", "error": None},
+        {"epsilon": 0.8, "dir": "eps_0.8", "status": "ok", "error": None},
+        {"epsilon": 0.5, "dir": "eps_0.5", "status": "failed", "error": "forced"},
+    ]
+    (out / runner.SWEEP_INDEX_NAME).write_text(json.dumps({"kind": "sweep", "runs": runs}))
+    parsed = []
+    read = diagnostics.read_timeseries
+    monkeypatch.setattr(diagnostics, "read_timeseries", lambda path: parsed.append(path) or read(path))
+    runner.plot_data(out)
+    assert sorted(p.parent.name for p in parsed) == ["eps_0.8", "eps_1"]
+
+
+def test_vpme_imports_nothing_beyond_numpy_and_the_standard_library():
+    # scipy is a test dependency only, and every import adds to a run's start-up
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import vpme, vpme.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'vpme'})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_cli_usage_and_config_errors(tmp_path, capsys):

@@ -156,10 +156,10 @@ def test_newton_agrees_with_damped_picard_oracle():
         mhat = float(src.sum()) * vol
         bc = fs._monopole_values(grid, -mhat, fs._centroid(src, grid), eps2)
         rhs = src[1:-1, 1:-1, 1:-1] / eps2
-        rhs -= fs._lap_interior(fs._assemble(grid, np.zeros_like(rhs), bc), h)
+        rhs -= fs._lap_interior(fs._assemble(np.zeros_like(rhs), bc), h)
         coef = scipy.fft.dstn(rhs, type=1, norm="ortho") / -fs._neg_lap_eigs(rhs.shape[0], h)
         interior = scipy.fft.dstn(coef, type=1, norm="ortho")
-        new = fs._assemble(grid, interior, bc)
+        new = fs._assemble(interior, bc)
         step = float(np.abs(new - uh).max())
         uh = (1.0 - theta) * uh + theta * new
         if step < 1e-14:

@@ -1,4 +1,4 @@
-"""Deposit/gather/push kernels: backend agreement and transfer identities."""
+"""Deposit/gather/push kernels: the reference oracle and transfer identities."""
 
 import numpy as np
 import pytest
@@ -16,14 +16,6 @@ def _cloud(n, spread=1.8):
     w = RNG.uniform(0.1, 2.0, n)
     vec = RNG.standard_normal((n, 3))
     return pos, w, vec
-
-
-def _both_backends():
-    # without numba the nb_* kernels are their plain-Python bodies
-    return [
-        ("numpy", kernels.np_deposit, kernels.np_deposit_vec, kernels.np_gather_vec, kernels.np_push_kdk),
-        ("numba", kernels.nb_deposit, kernels.nb_deposit_vec, kernels.nb_gather_vec, kernels.nb_push_kdk),
-    ]
 
 
 def _ref_corners(pos, nodes):
@@ -80,14 +72,14 @@ def test_numpy_kernels_match_reference_bitwise():
     assert ((np.abs(pos) > L).any(axis=1)).sum() > 100
     inbox, rho, cur = _ref_deposit(pos, w, vec, NODES)
     out = np.zeros((NODES,) * 3)
-    assert kernels.np_deposit(pos, w, X0, H, NODES, out) == inbox
+    assert kernels.deposit(pos, w, X0, H, NODES, out) == inbox
     assert (out == rho).all()
     out = np.zeros((NODES,) * 3 + (3,))
-    assert kernels.np_deposit_vec(pos, w, vec, X0, H, NODES, out) == inbox
+    assert kernels.deposit_vec(pos, w, vec, X0, H, NODES, out) == inbox
     assert (out == cur).all()
     grid = RNG.standard_normal((NODES,) * 3 + (3,))
     got = np.full_like(pos, np.nan)
-    kernels.np_gather_vec(grid, pos, X0, H, got)
+    kernels.gather_vec(grid, pos, X0, H, got)
     assert (got == _ref_gather(grid, pos)).all()
 
 
@@ -95,43 +87,40 @@ def test_numpy_deposit_rejects_a_strided_target():
     # a reshaped copy would take the deposit and drop it silently
     pos, w, vec = _cloud(10)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.np_deposit(pos, w, X0, H, NODES, np.zeros((NODES,) * 3 + (2,))[..., 0])
+        kernels.deposit(pos, w, X0, H, NODES, np.zeros((NODES,) * 3 + (2,))[..., 0])
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.np_deposit_vec(pos, w, vec, X0, H, NODES, np.zeros((NODES,) * 3 + (6,))[..., ::2])
+        kernels.deposit_vec(pos, w, vec, X0, H, NODES, np.zeros((NODES,) * 3 + (6,))[..., ::2])
 
 
 def test_deposit_conserves_inbox_mass():
     pos, w, _ = _cloud(500)
     pos[:20] += 10.0  # park some particles far outside
     pos[20:25, 1] = np.nan  # a NaN position has escaped too
-    for name, dep, _, _, _ in _both_backends():
-        out = np.zeros((NODES,) * 3)
-        inbox = dep(pos, w, X0, H, NODES, out)
-        expect = w[(np.abs(pos) <= L).all(axis=1)].sum()
-        assert abs(inbox - expect) < 1e-12, name
-        assert abs(out.sum() - inbox) < 1e-12, name
+    out = np.zeros((NODES,) * 3)
+    inbox = kernels.deposit(pos, w, X0, H, NODES, out)
+    expect = w[(np.abs(pos) <= L).all(axis=1)].sum()
+    assert abs(inbox - expect) < 1e-12
+    assert abs(out.sum() - inbox) < 1e-12
 
 
 def test_deposit_partition_of_unity():
     # a single particle's eight corner weights sum to its weight
     pos = np.array([[0.137, -0.528, 1.002]])
     w = np.array([0.7])
-    for name, dep, _, _, _ in _both_backends():
-        out = np.zeros((NODES,) * 3)
-        dep(pos, w, X0, H, NODES, out)
-        assert abs(out.sum() - 0.7) < 1e-15, name
-        assert (out >= 0.0).all(), name
-        assert np.count_nonzero(out) <= 8, name
+    out = np.zeros((NODES,) * 3)
+    kernels.deposit(pos, w, X0, H, NODES, out)
+    assert abs(out.sum() - 0.7) < 1e-15
+    assert (out >= 0.0).all()
+    assert np.count_nonzero(out) <= 8
 
 
 def test_deposit_particle_on_node_hits_one_node():
     pos = np.array([[X0 + 3 * H, X0 + 5 * H, X0 + 2 * H]])
     w = np.array([1.25])
-    for name, dep, _, _, _ in _both_backends():
-        out = np.zeros((NODES,) * 3)
-        dep(pos, w, X0, H, NODES, out)
-        assert out[3, 5, 2] == pytest.approx(1.25, abs=1e-14), name
-        assert np.count_nonzero(np.abs(out) > 1e-14) == 1, name
+    out = np.zeros((NODES,) * 3)
+    kernels.deposit(pos, w, X0, H, NODES, out)
+    assert out[3, 5, 2] == pytest.approx(1.25, abs=1e-14)
+    assert np.count_nonzero(np.abs(out) > 1e-14) == 1
 
 
 def test_edge_particles_are_kept():
@@ -146,20 +135,18 @@ def test_edge_particles_are_kept():
         ]
     )
     w = np.ones(len(corners))
-    for name, dep, _, _, _ in _both_backends():
-        out = np.zeros((NODES,) * 3)
-        inbox = dep(corners, w, X0, H, NODES, out)
-        assert inbox == pytest.approx(len(corners), abs=1e-12), name
-        assert out.sum() == pytest.approx(len(corners), abs=1e-12), name
+    out = np.zeros((NODES,) * 3)
+    inbox = kernels.deposit(corners, w, X0, H, NODES, out)
+    assert inbox == pytest.approx(len(corners), abs=1e-12)
+    assert out.sum() == pytest.approx(len(corners), abs=1e-12)
 
 
 def test_gather_zero_outside_box():
     grid = RNG.standard_normal((NODES, NODES, NODES, 3))
     pos = np.array([[L + 0.5, 0.0, 0.0], [0.0, -L - 1e-6, 0.0], [0.0, np.nan, 0.0]])
-    for name, _, _, gather, _ in _both_backends():
-        out = np.empty((3, 3))
-        gather(grid, pos, X0, H, out)
-        assert (out == 0.0).all(), name
+    out = np.empty((3, 3))
+    kernels.gather_vec(grid, pos, X0, H, out)
+    assert (out == 0.0).all()
 
 
 def test_gather_matches_trilinear_by_hand():
@@ -174,83 +161,22 @@ def test_gather_matches_trilinear_by_hand():
             for dz in (0, 1):
                 cw = (f[0] if dx else 1 - f[0]) * (f[1] if dy else 1 - f[1]) * (f[2] if dz else 1 - f[2])
                 expect += cw * grid[i[0] + dx, i[1] + dy, i[2] + dz]
-    for name, _, _, gather, _ in _both_backends():
-        out = np.empty((1, 3))
-        gather(grid, pos, X0, H, out)
-        assert np.allclose(out[0], expect, atol=1e-14), name
+    out = np.empty((1, 3))
+    kernels.gather_vec(grid, pos, X0, H, out)
+    assert np.allclose(out[0], expect, atol=1e-14)
 
 
 def test_deposit_gather_adjoint():
     # sum_nodes deposit(w)[n] * F[n] == sum_particles w_p * gather(F)[p]
     pos, w, _ = _cloud(400)
     grid = RNG.standard_normal((NODES, NODES, NODES, 3))
-    for name, dep, _, gather, _ in _both_backends():
-        rho = np.zeros((NODES,) * 3)
-        dep(pos, w, X0, H, NODES, rho)
-        gathered = np.empty_like(pos)
-        gather(grid, pos, X0, H, gathered)
-        lhs = float((rho[..., None] * grid).sum(axis=(0, 1, 2))[0])
-        rhs = float((w[:, None] * gathered).sum(axis=0)[0])
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), name
-
-
-def test_backends_agree_bitwise_scalar_deposit():
-    pos, w, vec = _cloud(1000)
-    a = np.zeros((NODES,) * 3)
-    b = np.zeros((NODES,) * 3)
-    kernels.np_deposit(pos, w, X0, H, NODES, a)
-    kernels.nb_deposit(pos, w, X0, H, NODES, b)
-    assert np.allclose(a, b, rtol=0.0, atol=1e-14)
-    av = np.zeros((NODES,) * 3 + (3,))
-    bv = np.zeros((NODES,) * 3 + (3,))
-    kernels.np_deposit_vec(pos, w, vec, X0, H, NODES, av)
-    kernels.nb_deposit_vec(pos, w, vec, X0, H, NODES, bv)
-    assert np.allclose(av, bv, rtol=0.0, atol=1e-14)
-
-
-def test_backends_agree_on_push():
-    pos, w, _ = _cloud(300)
-    vel = RNG.standard_normal((300, 3))
-    egrid = RNG.standard_normal((NODES, NODES, NODES, 3))
-    state = {}
-    for name, _, _, _, push in _both_backends():
-        p = pos.copy()
-        v = vel.copy()
-        fint = np.zeros(300)
-        xm = np.empty_like(p)
-        vm = np.empty_like(v)
-        push(p, v, fint, egrid, X0, H, 0.01, xm, vm)
-        state[name] = (p, v, fint, xm, vm)
-    for a, b in zip(state["numpy"], state["numba"]):
-        assert np.allclose(a, b, rtol=0.0, atol=1e-13)
-
-
-@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="compiled code may fuse multiply-adds")
-def test_backends_agree_bitwise_on_one_cic_definition():
-    # one CIC rule on both backends: the gather and the push are bitwise
-    # equal; a deposit is too when particles come one at a time, since only
-    # the order of each node's sum differs between the backends
-    pos, w, vec = _oracle_cloud()
-    grid = RNG.standard_normal((NODES,) * 3 + (3,))
-    singles = RNG.permutation(len(pos))[:50]
-    got = {}
-    for name, dep, dep_vec, gather, push in _both_backends():
-        e = np.full_like(pos, np.nan)
-        gather(grid, pos, X0, H, e)
-        p, v, fint = pos.copy(), vec.copy(), np.zeros(len(pos))
-        xm, vm = np.empty_like(p), np.empty_like(v)
-        for _ in range(3):
-            push(p, v, fint, grid, X0, H, 0.05, xm, vm)
-        rho, cur = np.zeros((NODES,) * 3), np.zeros((NODES,) * 3 + (3,))
-        inbox = []
-        for i in singles:
-            one = slice(i, i + 1)
-            inbox.append(dep(pos[one], w[one], X0, H, NODES, rho))
-            inbox.append(dep_vec(pos[one], w[one], vec[one], X0, H, NODES, cur))
-        got[name] = (e, p, v, fint, xm, vm, rho, cur, np.array(inbox))
-    assert np.count_nonzero(got["numpy"][-1]) > 0
-    for a, b in zip(got["numpy"], got["numba"]):
-        assert (a == b).all()
+    rho = np.zeros((NODES,) * 3)
+    kernels.deposit(pos, w, X0, H, NODES, rho)
+    gathered = np.empty_like(pos)
+    kernels.gather_vec(grid, pos, X0, H, gathered)
+    lhs = float((rho[..., None] * grid).sum(axis=(0, 1, 2))[0])
+    rhs = float((w[:, None] * gathered).sum(axis=0)[0])
+    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
 def test_push_semantics_single_particle():
@@ -262,7 +188,7 @@ def test_push_semantics_single_particle():
 
     def gathered(at):
         out = np.empty((1, 3))
-        kernels.np_gather_vec(egrid, at, X0, H, out)
+        kernels.gather_vec(egrid, at, X0, H, out)
         return out[0]
 
     e1 = gathered(pos)
