@@ -1,13 +1,21 @@
 """Per-checkpoint scalar diagnostics, running suprema, and CSV persistence.
 
-The time-series schema is frozen: COLUMNS below, one row per checkpoint.
-Floats are written with repr() (shortest round-trip form), so identical runs
-produce byte-identical files and parsing loses nothing.
+A checkpoint is one ``DiagnosticsAccumulator.record`` call, which appends one
+row to each table: COLUMNS (timeseries.csv) and FIELD_COLUMNS (fields.csv).
+It computes each array both rows read once: exp(U), the electron density
+g e^U, |E|^2 per node and sum(v^2) per particle. The electron field
+E_hat = -grad Uhat enters only ``ehat_sup``, so its gradient is taken here,
+once per checkpoint, not in every field solve. ``electron_L1`` is the same
+number as the row's ``geU_L1``.
+
+Both schemas are frozen. Floats are written with repr() (shortest round-trip
+form), so identical runs produce byte-identical files and parsing loses
+nothing.
 """
 
 import numpy as np
 
-from . import fieldsolve, mesh, particles
+from . import mesh, particles
 
 COLUMNS = [
     "t",
@@ -49,15 +57,34 @@ class SchemaError(ValueError):
     """A persisted table does not match its frozen schema."""
 
 
-def energy(ensemble, field_solution, g):
-    """Discrete energy functional split: (kinetic, field, electron, total)."""
-    kinetic = float((ensemble.weights * (ensemble.velocities**2).sum(axis=1)).sum())
+def energy(weights, v2, field_solution, g, exp_u, e2):
+    """Discrete energy functional split: (kinetic, field, electron, total).
+
+    ``v2`` is sum(v^2) per particle, ``exp_u`` is exp(U) and ``e2`` is |E|^2
+    per node.
+    """
+    kinetic = float((weights * v2).sum())
     vol = g.grid.cell_volume
-    e2 = (field_solution.e.values**2).sum(axis=-1)
     field_term = field_solution.epsilon**2 * float(e2.sum()) * vol
     u = field_solution.u.values
-    electron = 2.0 * float(((u - 1.0) * g.values * np.exp(u)).sum()) * vol
+    electron = 2.0 * float((((u - 1.0) * g.values) * exp_u).sum()) * vol
     return kinetic, field_term, electron, kinetic + field_term + electron
+
+
+def field_table_row(t, field_solution, e2, g_exp_u):
+    """One fields.csv row in FIELD_COLUMNS order, from |E|^2 and g e^U per node."""
+    vol = field_solution.u.grid.cell_volume
+    grad_uhat = mesh.gradient(field_solution.uhat)  # -E_hat
+    return [
+        t,
+        float(np.sqrt(e2.max())),
+        float(np.sqrt((grad_uhat**2).sum(axis=-1).max())),
+        float(field_solution.uhat.values.max()),
+        float(g_exp_u.sum() * vol),
+        float((g_exp_u**2).sum() * vol) ** 0.5,
+        float((g_exp_u**3).sum() * vol) ** (1.0 / 3.0),
+        float(g_exp_u.max()),
+    ]
 
 
 def continuity_residual(rho_prev, rho_next, j_mid, dt):
@@ -69,16 +96,22 @@ def continuity_residual(rho_prev, rho_next, j_mid, dt):
 
 
 class DiagnosticsAccumulator:
-    """Builds the checkpoint series; tracks running moment suprema."""
+    """Builds both checkpoint tables; tracks running moment suprema."""
 
     def __init__(self, m1):
         self.k_list = (2.0, float(m1), 3.0)
         self.running = {k: 0.0 for k in self.k_list}
         self._rows = []
+        self._field_rows = []
 
     def record(self, t, ensemble, field_solution, g, rho, continuity_res):
-        kin, fld, ele, tot = energy(ensemble, field_solution, g)
-        moments = particles.instantaneous_moments(ensemble, self.k_list)
+        exp_u = np.exp(field_solution.u.values)
+        g_exp_u = g.values * exp_u
+        e2 = (field_solution.e.values**2).sum(axis=-1)
+        v2 = (ensemble.velocities**2).sum(axis=1)
+        field_row = field_table_row(t, field_solution, e2, g_exp_u)
+        kin, fld, ele, tot = energy(ensemble.weights, v2, field_solution, g, exp_u, e2)
+        moments = particles.instantaneous_moments(ensemble.weights, v2, self.k_list)
         for k in self.k_list:
             self.running[k] = max(self.running[k], moments[k])
         k2, km, k3 = self.k_list
@@ -98,17 +131,22 @@ class DiagnosticsAccumulator:
             particles.q_star(ensemble),
             float(rho.values.max()),
             float((rho.values ** (5.0 / 3.0)).sum() * rho.grid.cell_volume) ** 0.6,
-            float((g.values * np.exp(field_solution.u.values)).sum() * g.grid.cell_volume),
+            field_row[FIELD_COLUMNS.index("geU_L1")],
             field_solution.gauss_imbalance,
             field_solution.newton_iterations,
             field_solution.residual_inf,
             continuity_res,
             ensemble.escaped_mass,
         ])
+        self._field_rows.append(field_row)
 
     def rows(self):
-        """The recorded rows, each in COLUMNS order."""
+        """The recorded timeseries.csv rows, each in COLUMNS order."""
         return self._rows
+
+    def field_rows(self):
+        """The recorded fields.csv rows, each in FIELD_COLUMNS order."""
+        return self._field_rows
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +202,3 @@ def write_timeseries(path, accumulator):
 def read_timeseries(path):
     return read_table(path, expected_columns=COLUMNS)
 
-
-def field_table_row(t, field_solution, g):
-    norms = fieldsolve.electron_density_norms(field_solution.u, g)
-    return [
-        t,
-        fieldsolve.e_sup(field_solution),
-        fieldsolve.ehat_sup(field_solution),
-        float(field_solution.uhat.values.max()),
-        norms["L1"],
-        norms["L2"],
-        norms["L3"],
-        norms["Linf"],
-    ]

@@ -72,7 +72,6 @@ class FieldSolution:
     ubar: ScalarField
     uhat: ScalarField
     e: VectorField
-    ehat: VectorField
     epsilon: float
     newton_iterations: int
     residual_inf: float
@@ -510,7 +509,6 @@ def solve_field(rho, g, epsilon, uhat_initial=None):
         ubar=ubar,
         uhat=hat.field,
         e=VectorField(rho.grid, -gradient(u)),
-        ehat=VectorField(rho.grid, -gradient(hat.field)),
         epsilon=epsilon,
         newton_iterations=hat.iterations,
         residual_inf=hat.residual,
@@ -523,39 +521,14 @@ def solve_field(rho, g, epsilon, uhat_initial=None):
 def zero_solution(grid, epsilon):
     """Field-off placeholder: identically zero potentials and fields."""
     zs = ScalarField(grid, np.zeros((grid.nodes,) * 3))
-    zv = VectorField(grid, np.zeros((grid.nodes,) * 3 + (3,)))
     return FieldSolution(
         u=zs,
         ubar=zs,
         uhat=zs,
-        e=zv,
-        ehat=zv,
+        e=VectorField(grid, np.zeros((grid.nodes,) * 3 + (3,))),
         epsilon=epsilon,
         newton_iterations=0,
         residual_inf=0.0,
         gauss_imbalance=0.0,
     )
 
-
-def electron_density_norms(u, g):
-    """L1/L2/L3/Linf grid norms of the screened electron density g e^U."""
-    vals = g.values * np.exp(u.values)
-    vol = u.grid.cell_volume
-    return {
-        "L1": float(vals.sum() * vol),
-        "L2": float((vals**2).sum() * vol) ** 0.5,
-        "L3": float((vals**3).sum() * vol) ** (1.0 / 3.0),
-        "Linf": float(vals.max()),
-    }
-
-
-def e_sup(solution):
-    """Sup of |E| over grid nodes."""
-    mag2 = (solution.e.values**2).sum(axis=-1)
-    return float(np.sqrt(mag2.max()))
-
-
-def ehat_sup(solution):
-    """Sup of |E_hat|, the electron part of the field."""
-    mag2 = (solution.ehat.values**2).sum(axis=-1)
-    return float(np.sqrt(mag2.max()))

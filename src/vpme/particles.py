@@ -98,21 +98,18 @@ class ParticleEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def instantaneous_moments(ensemble, ks):
-    """{k: sum_p w_p |v_p|^k} for each k in ks, from one pass over the speeds."""
-    speed = np.sqrt((ensemble.velocities**2).sum(axis=1))
-    return {k: float((ensemble.weights * speed**k).sum()) for k in ks}
-
-
-def instantaneous_moment(ensemble, k):
-    """k-th absolute velocity moment sum_p w_p |v_p|^k."""
-    return instantaneous_moments(ensemble, (k,))[k]
+def instantaneous_moments(weights, v2, ks):
+    """{k: sum_p w_p |v_p|^k} for each k in ks, from v2 = sum(v^2) per particle."""
+    speed = np.sqrt(v2)
+    return {k: float((weights * speed**k).sum()) for k in ks}
 
 
 def q_star(ensemble):
     """Largest velocity deviation from t=0: max_p |v_p - v_p(0)|."""
     dv = ensemble.velocities - ensemble.initial_velocities
-    return float(np.sqrt((dv * dv).sum(axis=1)).max())
+    dv *= dv
+    # sqrt is monotone and correctly rounded: sqrt(max) == max(sqrt) bitwise
+    return float(np.sqrt(dv.sum(axis=1).max()))
 
 
 def q_tt(ensemble):

@@ -34,18 +34,12 @@ class TimeSpec:
         return max(1, round(self.t_end / self.dt))
 
 
-def _field_grid(field):
-    # accept a full solve result or a bare vector field
-    return field.e if hasattr(field, "e") else field
-
-
-def step(ensemble, field, dt, xmid=None, vmid=None):
-    """Advance one kick-drift-kick step in place.
+def step(ensemble, e, dt, xmid=None, vmid=None):
+    """Advance one kick-drift-kick step in place in the field ``e`` (a VectorField).
 
     ``xmid``/``vmid`` receive the half-step drift positions and velocities
     (allocated when omitted); they feed the midpoint current deposit.
     """
-    e = _field_grid(field)
     if xmid is None:
         xmid = np.empty_like(ensemble.positions)
     if vmid is None:
@@ -64,7 +58,7 @@ def step(ensemble, field, dt, xmid=None, vmid=None):
     return xmid, vmid
 
 
-def stability_check(ensemble, field, grid, dt):
+def stability_check(ensemble, e, grid, dt):
     """Advisory strings for too-long steps; empty list means ok, never fatal."""
     advisories = []
     vmax = float(np.sqrt((ensemble.velocities**2).sum(axis=1)).max())
@@ -73,7 +67,6 @@ def stability_check(ensemble, field, grid, dt):
             f"dt*max|v| = {dt * vmax:.3e} exceeds half a cell ({0.5 * grid.spacing:.3e}); "
             "particles cross cells within a step"
         )
-    e = _field_grid(field)
     grad_max = 0.0
     for c in range(3):
         grad_max = max(grad_max, float(np.abs(mesh.gradient(e.values[..., c], grid.spacing)).max()))

@@ -1,9 +1,14 @@
 """Simulation driver: run loop, epsilon sweeps, report assembly, plot tables.
 
-Loop shape: deposit rho -> solve field -> kick-drift-kick with that field,
-strictly in that order; every checkpoint the midpoint current is deposited
-and diagnostics recorded. The electron solve warm-starts from the previous
-step's correction.
+Loop shape: kick-drift-kick with the current field -> deposit rho -> solve
+the field, strictly in that order; the electron solve warm-starts from the
+previous step's correction. t = 0 is the deposit and solve without a push.
+Each deposit is followed by the escaped-mass gate. Each checkpoint (t = 0,
+every ``checkpoint_every`` steps and the last step) is one pass: the
+midpoint current gives the continuity residual, one
+``DiagnosticsAccumulator.record`` call appends the rows of both
+timeseries.csv and fields.csv, the step-size advisories are merged, and the
+field snapshot is written when requested.
 
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
@@ -38,7 +43,6 @@ class RunArtifacts:
     field_table_path: Path
     meta_path: Path
     snapshot_dir: Path | None
-    status: str
 
 
 def _build_ensemble(cfg, g, seed):
@@ -51,7 +55,7 @@ def _build_ensemble(cfg, g, seed):
     return particles.sample_initial(cfg.init, cfg.count, seed)
 
 
-def _write_meta(path, payload):
+def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -91,8 +95,8 @@ def run(cfg, out_dir, seed=None):
 
     ens = _build_ensemble(cfg, g, seed)
     acc = diagnostics.DiagnosticsAccumulator(cfg.init.m1)
-    field_rows = []
     gate = cfg.max_escaped_frac * ens.total_weight
+    dt = cfg.time.dt
     escaped_peak = 0.0
     status = "ok"
     error_msg = None
@@ -100,7 +104,7 @@ def run(cfg, out_dir, seed=None):
 
     def _persist():
         diagnostics.write_timeseries(out / TIMESERIES_NAME, acc)
-        diagnostics.write_table(out / FIELD_TABLE_NAME, diagnostics.FIELD_COLUMNS, field_rows)
+        diagnostics.write_table(out / FIELD_TABLE_NAME, diagnostics.FIELD_COLUMNS, acc.field_rows())
         meta = {
             "advisories": advisories,
             "backend": kernels.BACKEND,
@@ -128,57 +132,47 @@ def run(cfg, out_dir, seed=None):
             "version": __version__,
             "wall_time_s": _time.perf_counter() - wall_start,
         }
-        _write_meta(out / META_NAME, meta)
+        _write_json(out / META_NAME, meta)
 
-    try:
+    def _deposit(n):
+        nonlocal escaped_peak
         rho = mesh.deposit_density(ens, cfg.grid)
         escaped_peak = max(escaped_peak, ens.escaped_mass)
         if ens.escaped_mass > gate:
             raise EscapedMassError(
-                f"initial escaped mass {ens.escaped_mass:.3e} exceeds gate {gate:.3e}"
+                f"escaped mass {ens.escaped_mass:.3e} exceeds gate {gate:.3e} "
+                f"at step {n} (t = {n * dt!r})"
             )
+        return rho
+
+    def _checkpoint(n, cres):
+        acc.record(n * dt, ens, sol, g, rho, cres)
+        for msg in pusher.stability_check(ens, sol.e, cfg.grid, dt):
+            if msg not in advisories:
+                advisories.append(msg)
+        if snapshot_dir is not None:
+            _snapshot(snapshot_dir, n, sol)
+
+    try:
+        rho = _deposit(0)
         selfconsistent = cfg.field_mode == "selfconsistent"
         if selfconsistent:
             sol = fieldsolve.solve_field(rho, g, cfg.epsilon)
         else:
             sol = fieldsolve.zero_solution(cfg.grid, cfg.epsilon)
-
-        for msg in pusher.stability_check(ens, sol, cfg.grid, cfg.time.dt):
-            if msg not in advisories:
-                advisories.append(msg)
-
-        acc.record(0.0, ens, sol, g, rho, 0.0)
-        field_rows.append(diagnostics.field_table_row(0.0, sol, g))
-        if snapshot_dir is not None:
-            _snapshot(snapshot_dir, 0, sol)
+        _checkpoint(0, 0.0)
 
         steps = cfg.time.steps
-        dt = cfg.time.dt
         xmid = np.empty_like(ens.positions)
         vmid = np.empty_like(ens.velocities)
         for n in range(1, steps + 1):
-            is_checkpoint = (n % cfg.time.checkpoint_every == 0) or n == steps
-            pusher.step(ens, sol, dt, xmid, vmid)
-            rho_prev = rho
-            rho = mesh.deposit_density(ens, cfg.grid)
-            escaped_peak = max(escaped_peak, ens.escaped_mass)
-            if ens.escaped_mass > gate:
-                raise EscapedMassError(
-                    f"escaped mass {ens.escaped_mass:.3e} exceeds gate {gate:.3e} "
-                    f"at step {n} (t = {n * dt!r})"
-                )
+            pusher.step(ens, sol.e, dt, xmid, vmid)
+            rho_prev, rho = rho, _deposit(n)
             if selfconsistent:
                 sol = fieldsolve.solve_field(rho, g, cfg.epsilon, uhat_initial=sol.uhat)
-            if is_checkpoint:
+            if n % cfg.time.checkpoint_every == 0 or n == steps:
                 j_mid = mesh.current_from_arrays(xmid, vmid, ens.weights, cfg.grid)
-                cres = diagnostics.continuity_residual(rho_prev, rho, j_mid, dt)
-                acc.record(n * dt, ens, sol, g, rho, cres)
-                field_rows.append(diagnostics.field_table_row(n * dt, sol, g))
-                for msg in pusher.stability_check(ens, sol, cfg.grid, dt):
-                    if msg not in advisories:
-                        advisories.append(msg)
-                if snapshot_dir is not None:
-                    _snapshot(snapshot_dir, n, sol)
+                _checkpoint(n, diagnostics.continuity_residual(rho_prev, rho, j_mid, dt))
     except EscapedMassError as exc:
         status, error_msg = "escaped-mass-gate", str(exc)
         _persist()
@@ -195,7 +189,6 @@ def run(cfg, out_dir, seed=None):
         field_table_path=out / FIELD_TABLE_NAME,
         meta_path=out / META_NAME,
         snapshot_dir=snapshot_dir,
-        status=status,
     )
 
 
@@ -215,10 +208,7 @@ def sweep(cfg, epsilons, out_dir, seed=None):
             entry["status"] = "failed"
             entry["error"] = str(exc)
         entries.append(entry)
-    index = {"kind": "sweep", "epsilons": list(epsilons), "runs": entries}
-    with open(out / SWEEP_INDEX_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out / SWEEP_INDEX_NAME, {"kind": "sweep", "epsilons": list(epsilons), "runs": entries})
     return out / SWEEP_INDEX_NAME
 
 

@@ -258,6 +258,16 @@ def test_vpme_imports_nothing_beyond_numpy_and_the_standard_library():
     assert done.stdout.split() == []
 
 
+def test_perfbench_tracer_installs_on_vpme():
+    # perfbench/spans.py wraps vpme functions by name, so a renamed or deleted
+    # one would break `perfbench/run.py --trace 1` while every other test passes
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    code = "import spans\nspans.Tracer().install()\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_usage_and_config_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from vpme import diagnostics, fieldsolve, mesh, pusher
+from vpme import diagnostics, fieldsolve, mesh, runner
 from vpme.diagnostics import DiagnosticsAccumulator, SchemaError
 from vpme.mesh import GridSpec, ScalarField, VectorField, evaluate_g
 from vpme.particles import ParticleEnsemble
 from vpme.profiles import SpatialProfile
+
+from conftest import load_run, small_scenario
 
 GRID = GridSpec(half_width=2.0, nodes=16)
 
@@ -29,11 +31,24 @@ def _cold(n=4):
     )
 
 
+def _energy(ens, sol, g):
+    v2 = (ens.velocities**2).sum(axis=1)
+    e2 = (sol.e.values**2).sum(axis=-1)
+    return diagnostics.energy(ens.weights, v2, sol, g, np.exp(sol.u.values), e2)
+
+
+def _field_row(t, sol, g):
+    e2 = (sol.e.values**2).sum(axis=-1)
+    row = diagnostics.field_table_row(t, sol, e2, g.values * np.exp(sol.u.values))
+    assert len(row) == len(diagnostics.FIELD_COLUMNS)
+    return dict(zip(diagnostics.FIELD_COLUMNS, row))
+
+
 def test_energy_of_cold_ensemble_in_zero_potential():
     # U = 0: electron term is 2 * (0 - 1) * int g = -2 for unit background mass
     g = _g()
     sol = fieldsolve.zero_solution(GRID, 0.5)
-    kin, fld, ele, tot = diagnostics.energy(_cold(), sol, g)
+    kin, fld, ele, tot = _energy(_cold(), sol, g)
     assert kin == 0.0
     assert fld == 0.0
     assert ele == pytest.approx(-2.0, abs=1e-12)
@@ -48,7 +63,7 @@ def test_kinetic_energy_is_weighted_speed_square():
         velocities=np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]),
         weights=np.array([0.25, 0.5]),
     )
-    kin, _, _, _ = diagnostics.energy(ens, sol, g)
+    kin, _, _, _ = _energy(ens, sol, g)
     assert kin == pytest.approx(0.25 * 5.0 + 0.5 * 9.0, abs=1e-14)
 
 
@@ -151,11 +166,43 @@ def test_write_table_rejects_ragged_rows(tmp_path):
 def test_field_table_row_for_zero_solution():
     g = _g()
     sol = fieldsolve.zero_solution(GRID, 0.5)
-    row = diagnostics.field_table_row(0.25, sol, g)
-    assert len(row) == len(diagnostics.FIELD_COLUMNS)
-    named = dict(zip(diagnostics.FIELD_COLUMNS, row))
+    named = _field_row(0.25, sol, g)
     assert named["t"] == 0.25
     assert named["e_sup"] == 0.0 and named["ehat_sup"] == 0.0
     assert named["uhat_max"] == 0.0
     assert named["geU_L1"] == pytest.approx(1.0, abs=1e-12)  # e^0 g integrates to 1
     assert named["geU_Linf"] == pytest.approx(float(g.values.max()))
+    # a zero background has zero electron density in every norm
+    dark = _field_row(0.25, sol, ScalarField(GRID, np.zeros((16, 16, 16))))
+    assert [dark[f"geU_{k}"] for k in ("L1", "L2", "L3", "Linf")] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_field_table_matches_recomputation_from_snapshots(tmp_path):
+    cfg = small_scenario(save_fields=True)
+    runner.run(cfg, tmp_path)
+    run = load_run(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = evaluate_g(cfg.g_profile, cfg.grid).values
+    h, vol = cfg.grid.spacing, cfg.grid.cell_volume
+    steps = np.rint(run.fields["t"] / cfg.time.dt).astype(int)
+    assert steps.tolist() == list(range(cfg.time.steps + 1))
+    for i, n in enumerate(steps):
+        snap = {
+            name: mesh.read_field(tmp_path / "snapshots" / f"step_{n:06d}_{name}.field")[1].values
+            for name in ("u", "uhat", "e")
+        }
+        geu = g * np.exp(snap["u"])
+        ehat2 = sum(d**2 for d in np.gradient(snap["uhat"], h, edge_order=2))
+        expect = {
+            "e_sup": np.sqrt((snap["e"] ** 2).sum(axis=-1).max()),
+            "ehat_sup": np.sqrt(ehat2.max()),
+            "uhat_max": snap["uhat"].max(),
+            "geU_L1": geu.sum() * vol,
+            "geU_L2": np.sqrt((geu**2).sum() * vol),
+            "geU_L3": np.cbrt((geu**3).sum() * vol),
+            "geU_Linf": geu.max(),
+        }
+        for name, value in expect.items():
+            assert run.fields[name][i] == pytest.approx(value, rel=1e-12, abs=0.0), (n, name)
+        assert run.series["electron_L1"][i] == run.fields["geU_L1"][i]

@@ -121,7 +121,7 @@ def test_equilibrium_density_yields_zero_field():
     grid = GridSpec(half_width=4.0, nodes=48)
     g = _background(grid)
     sol = fs.solve_field(ScalarField(grid, g.values.copy()), g, 0.5)
-    assert fs.e_sup(sol) <= 1e-12  # frozen run: 1.1e-15
+    assert np.sqrt((sol.e.values**2).sum(axis=-1).max()) <= 1e-12  # frozen run: 1.1e-15
     assert abs(sol.gauss_imbalance) <= 1e-12
     assert sol.residual_inf <= fs.CONTRACT_RTOL
 
@@ -294,7 +294,5 @@ def test_absurd_initial_guess_raises_with_warm_start_advice():
 def test_zero_solution_placeholder_shape():
     grid = GridSpec(half_width=2.0, nodes=8)
     sol = fs.zero_solution(grid, 0.5)
-    assert fs.e_sup(sol) == 0.0
+    assert np.sqrt((sol.e.values**2).sum(axis=-1).max()) == 0.0
     assert sol.newton_iterations == 0
-    norms = fs.electron_density_norms(sol.u, ScalarField(grid, np.zeros((8, 8, 8))))
-    assert norms == {"L1": 0.0, "L2": 0.0, "L3": 0.0, "Linf": 0.0}
