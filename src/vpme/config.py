@@ -8,7 +8,7 @@ Sections and keys (defaults in parentheses):
   [particles]   kind = maxwellian | power_law | cold_lattice, count,
                 profile, profile_scale, profile_center (0 0 0),
                 sigma (1.0), r (4.0), v_max (20.0), m1 (2.5),
-                drift (0 0 0; cold_lattice bulk velocity)
+                drift (0 0 0; uniform velocity offset added to every kind)
   [background]  profile = gaussian | uniform_ball, profile_scale,
                 profile_center (0 0 0)
   [diagnostics] save_fields (false)
@@ -209,10 +209,8 @@ class _Section:
 _REQUIRED = object()
 
 
-def _profile_from(sec, default_kind=None):
-    kind = sec.text("profile", default_kind)
-    if kind is None:
-        raise ConfigError(f"[{sec.name}] is missing required key 'profile'")
+def _profile_from(sec):
+    kind = sec.text("profile")
     try:
         return SpatialProfile(
             kind=kind,

@@ -105,6 +105,7 @@ class DiagnosticsAccumulator:
         self._field_rows = []
 
     def record(self, t, ensemble, field_solution, g, rho, continuity_res):
+        """Append one checkpoint to both tables; returns the largest squared ion speed."""
         exp_u = np.exp(field_solution.u.values)
         g_exp_u = g.values * exp_u
         e2 = (field_solution.e.values**2).sum(axis=-1)
@@ -139,6 +140,7 @@ class DiagnosticsAccumulator:
             ensemble.escaped_mass,
         ])
         self._field_rows.append(field_row)
+        return float(v2.max())
 
     def rows(self):
         """The recorded timeseries.csv rows, each in COLUMNS order."""

@@ -17,7 +17,14 @@ defect-corrected if rounding ever leaves a residual above contract). The
 nonlinear solve is damped Newton; the scalar mass unknown is eliminated by a
 Schur complement, so each step is two conjugate-gradient solves on
 -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the exact DST
-inverse of -eps^2 Lap + mean(w).
+inverse of -eps^2 Lap + mean(w); the ion part uses the same shifted DST
+solve with shift 0.
+
+One evaluator gives the state of an electron iterate: it puts the boundary
+row -mu K around the interior values and returns the grid, the source
+g exp(Ubar + Uhat) and the residuals F = eps^2 Lap_h Uhat - source and
+G = vol sum(source) - mu. The Newton loop head and every line-search trial
+call it, and the loop leaves through one positivity check and one return.
 
 The 3-D DST-I (``dstn``) is applied as three BLAS matrix products with one
 cached dense orthonormal sine matrix per interior size m, not by FFT: the
@@ -178,7 +185,10 @@ def _fold_boundary(rhs, bc, h):
 
 @lru_cache(maxsize=8)
 def _node_coords(grid):
-    return grid.node_coords()
+    """(N, N, N, 3) node positions of ``grid`` (read-only)."""
+    out = grid.node_coords()
+    out.flags.writeable = False
+    return out
 
 
 _FACES = (
@@ -269,23 +279,16 @@ def solve_ubar(rho, epsilon):
     bc = _monopole_values(grid, mass, center, eps2)
     rhs = -rho.values[1:-1, 1:-1, 1:-1] / eps2
     _fold_boundary(rhs, bc, h)
-    interior = -dstn(dstn(rhs) / _neg_lap_eigs(rhs.shape[0], h))
-    u = _assemble(interior, bc)
+    u = _assemble(-_shifted_lap_solve(rhs, h, 1.0, 0.0), bc)
 
     scale = max(math.sqrt(float(np.vdot(rho.values, rho.values))), 1e-300)
-
-    def _rel_defect():
+    for check in range(3):
         defect = eps2 * _lap_interior(u, h) + rho.values[1:-1, 1:-1, 1:-1]
-        return defect, math.sqrt(float(np.vdot(defect, defect))) / scale
-
-    defect, rel = _rel_defect()
-    for _ in range(2):
+        rel = math.sqrt(float(np.vdot(defect, defect))) / scale
         if rel <= CONTRACT_RTOL:
             return ScalarField(grid, u)
-        u[1:-1, 1:-1, 1:-1] += dstn(dstn(defect) / (eps2 * _neg_lap_eigs(defect.shape[0], h)))
-        defect, rel = _rel_defect()
-    if rel <= CONTRACT_RTOL:
-        return ScalarField(grid, u)
+        if check < 2:
+            u[1:-1, 1:-1, 1:-1] += _shifted_lap_solve(defect, h, eps2, 0.0)
     raise FieldSolveError(
         f"ion potential solve stalled at relative residual {rel:.3e}", residual=rel
     )
@@ -348,24 +351,18 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     cg_total = 0
     accepted = 0
 
-    # the exponent is evaluated as one sum: Ubar and Uhat cancel to O(1) in
-    # the screened bulk while each alone overflows exp at small eps
-    def _src_of(u):
+    def _state(interior, mu, kern):
+        """Iterate with boundary row -mu K: (u, g e^(Ubar + u), F, G)."""
+        u = _assemble(interior, -mu * kern)
+        # the exponent is evaluated as one sum: Ubar and Uhat cancel to O(1)
+        # in the screened bulk while each alone overflows exp at small eps
         with np.errstate(over="ignore"):
-            out = g.values * np.exp(ubv + u)
-        if not np.isfinite(out).all():
-            raise FieldSolveError(
-                "electron density overflowed during Newton iteration; "
-                "retry from a warm start near the solution",
-                residual=history[-1] if history else None,
-            )
-        return out
-
-    def _residuals(u, src, mu):
+            src = g.values * np.exp(ubv + u)
         f = eps2 * _lap_interior(u, h) - src[inner]
-        return f, float(src.sum()) * vol - mu
+        return u, src, f, float(src.sum()) * vol - mu
 
-    src = _src_of(uh)
+    with np.errstate(over="ignore"):
+        src = g.values * np.exp(ubv + uh)
     contract_tol = CONTRACT_RTOL * max(1.0, float(src.max()))
     # the electron mass uses the same all-nodes sum as the ion mass so the
     # two monopole closures cancel exactly at neutrality
@@ -373,18 +370,24 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     prev_res = math.inf
 
     while True:
-        # boundary row per unit electron mass, K = 1/(4 pi eps^2 r)
-        kern = _monopole_values(grid, 1.0, _centroid(src, grid), eps2)
-        uh = _assemble(uh[inner], -mu * kern)
-        src = _src_of(uh)
-        f, gap = _residuals(uh, src, mu)
+        # boundary row per unit electron mass, K = 1/(4 pi eps^2 r); a start
+        # that overflows gives a NaN centroid, so its source fails the check
+        with np.errstate(invalid="ignore"):
+            kern = _monopole_values(grid, 1.0, _centroid(src, grid), eps2)
+            uh, src, f, gap = _state(uh[inner], mu, kern)
+        if not np.isfinite(src).all():
+            raise FieldSolveError(
+                "electron density overflowed during Newton iteration; "
+                "retry from a warm start near the solution",
+                residual=history[-1] if history else None,
+            )
         res = float(np.abs(f).max())
         history.append(res)
         target = NEWTON_TARGET_RTOL * max(1.0, float(src.max()))
         at_floor = res >= 0.5 * prev_res and res <= 100.0 * target
         mass_ok = abs(gap) <= MASS_RTOL * max(1.0, mu + gap)
         if mass_ok and (res <= target or at_floor):
-            return _finish_uhat(grid, uh, accepted, res, history, cg_total)
+            break
         if accepted >= MAX_NEWTON:
             raise FieldSolveError(
                 f"electron Newton did not converge in {MAX_NEWTON} iterations "
@@ -414,40 +417,34 @@ def solve_uhat(ubar, g, epsilon, initial=None):
         delta = z1 + dmu * z2
 
         merit = max(res, abs(gap))
-        alpha = 1.0
-        while True:
+        for k in range(31):
+            alpha = 0.5**k
             mu_trial = mu + alpha * dmu
-            trial = _assemble(uh[inner] + alpha * delta, -mu_trial * kern)
-            with np.errstate(over="ignore"):
-                trial_src = g.values * np.exp(ubv + trial)
-            f_trial, gap_trial = _residuals(trial, trial_src, mu_trial)
+            trial, trial_src, f_trial, gap_trial = _state(uh[inner] + alpha * delta, mu_trial, kern)
             merit_trial = max(float(np.abs(f_trial).max()), abs(gap_trial))
             if np.isfinite(trial_src).all() and merit_trial < merit:
                 uh, mu, src = trial, mu_trial, trial_src
                 accepted += 1
                 break
-            alpha *= 0.5
-            if alpha < 2.0**-30:
-                if res <= contract_tol and mass_ok:
-                    return _finish_uhat(grid, uh, accepted, res, history, cg_total)
-                raise FieldSolveError(
-                    f"electron Newton line search stagnated at residual {res:.3e} "
-                    f"(mass imbalance {gap:.3e}); retry from a warm start near the solution",
-                    residual=res,
-                )
+        else:
+            if res <= contract_tol and mass_ok:
+                break
+            raise FieldSolveError(
+                f"electron Newton line search stagnated at residual {res:.3e} "
+                f"(mass imbalance {gap:.3e}); retry from a warm start near the solution",
+                residual=res,
+            )
 
-
-def _finish_uhat(grid, uh, iterations, residual, history, cg_total):
     worst = float(uh.max())
     if worst > UHAT_POSITIVE_TOL:
         raise FieldSolveError(
             f"electron potential came out positive (max {worst:.3e}); solver invariant broken",
-            residual=residual,
+            residual=res,
         )
     return UhatResult(
         field=ScalarField(grid, uh),
-        iterations=iterations,
-        residual=residual,
+        iterations=accepted,
+        residual=res,
         history=history,
         cg_iterations=cg_total,
     )

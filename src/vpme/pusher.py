@@ -58,10 +58,14 @@ def step(ensemble, e, dt, xmid=None, vmid=None):
     return xmid, vmid
 
 
-def stability_check(ensemble, e, grid, dt):
-    """Advisory strings for too-long steps; empty list means ok, never fatal."""
+def stability_check(v2max, e, dt):
+    """Advisory strings for too-long steps; empty list means ok, never fatal.
+
+    ``v2max`` is the largest squared ion speed, as ``DiagnosticsAccumulator.record`` returns it.
+    """
     advisories = []
-    vmax = float(np.sqrt((ensemble.velocities**2).sum(axis=1)).max())
+    grid = e.grid
+    vmax = math.sqrt(v2max)
     if dt * vmax > 0.5 * grid.spacing:
         advisories.append(
             f"dt*max|v| = {dt * vmax:.3e} exceeds half a cell ({0.5 * grid.spacing:.3e}); "

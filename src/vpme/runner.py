@@ -48,11 +48,12 @@ class RunArtifacts:
 def _build_ensemble(cfg, g, seed):
     if cfg.init.kind == "cold_lattice":
         ens = particles.node_lattice(g)
-        if any(c != 0.0 for c in cfg.drift):
-            ens.velocities += np.asarray(cfg.drift)
-            ens.initial_velocities = ens.velocities.copy()
-        return ens
-    return particles.sample_initial(cfg.init, cfg.count, seed)
+    else:
+        ens = particles.sample_initial(cfg.init, cfg.count, seed)
+    if any(c != 0.0 for c in cfg.drift):
+        ens.velocities += np.asarray(cfg.drift)
+        ens.initial_velocities = ens.velocities.copy()
+    return ens
 
 
 def _write_json(path, payload):
@@ -146,8 +147,8 @@ def run(cfg, out_dir, seed=None):
         return rho
 
     def _checkpoint(n, cres):
-        acc.record(n * dt, ens, sol, g, rho, cres)
-        for msg in pusher.stability_check(ens, sol.e, cfg.grid, dt):
+        v2max = acc.record(n * dt, ens, sol, g, rho, cres)
+        for msg in pusher.stability_check(v2max, sol.e, dt):
             if msg not in advisories:
                 advisories.append(msg)
         if snapshot_dir is not None:
@@ -192,7 +193,7 @@ def run(cfg, out_dir, seed=None):
     )
 
 
-def sweep(cfg, epsilons, out_dir, seed=None):
+def sweep(cfg, epsilons, out_dir):
     """Run the scenario once per epsilon (same seed); failures are recorded."""
     if not epsilons:
         raise ValueError("sweep needs at least one epsilon value")
@@ -203,7 +204,7 @@ def sweep(cfg, epsilons, out_dir, seed=None):
         member_dir = f"eps_{eps:g}"
         entry = {"epsilon": eps, "dir": member_dir, "status": "ok", "error": None}
         try:
-            run(cfg.with_epsilon(eps), out / member_dir, seed=seed)
+            run(cfg.with_epsilon(eps), out / member_dir)
         except (EscapedMassError, fieldsolve.FieldSolveError, ValueError) as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)
@@ -268,10 +269,7 @@ def _sweep_report(path, omega=None):
         index = json.load(fh)
     members = []
     fit_points = []
-    ehat_entries = []
-    norm_entries = []
     skipped = []
-    eff_omega = None
     for entry in index["runs"]:
         if entry["status"] != "ok":
             skipped.append({"dir": entry["dir"], "error": entry["error"]})
@@ -279,7 +277,6 @@ def _sweep_report(path, omega=None):
         series, fields, meta = _load_run(path / entry["dir"])
         sub = _run_report(series, fields, meta, omega)
         members.append(sub)
-        eff_omega = sub["omega"] if eff_omega is None else eff_omega
         fit_points.append(
             {
                 "epsilon": sub["epsilon"],
@@ -287,13 +284,8 @@ def _sweep_report(path, omega=None):
                 "t_final": float(series["t"][-1]),
             }
         )
-        ehat_entries.append({"epsilon": sub["epsilon"], "ehat_sup": sub["ehat_sup_max"]})
-        norm_entries.append(
-            {"epsilon": sub["epsilon"]}
-            | {f"geU_{k}": v for k, v in sub["electron_norms_max"].items()}
-        )
     if len(fit_points) >= 3:
-        fit = verify.fit_main_bound(fit_points, verify.DEFAULT_OMEGA if eff_omega is None else eff_omega)
+        fit = verify.fit_main_bound(fit_points, members[0]["omega"])
     else:
         fit = {"verdict": "insufficient-data", "usable_members": len(fit_points)}
     verdicts = [m["verdict"] for m in members] + [fit["verdict"]]
@@ -303,8 +295,12 @@ def _sweep_report(path, omega=None):
         "members": members,
         "skipped": skipped,
         "main_bound_fit": fit,
-        "ehat_trend": verify.ehat_trend(ehat_entries),
-        "electron_norm_trend": verify.electron_norm_trend(norm_entries),
+        "ehat_trend": verify.ehat_trend(
+            [{"epsilon": m["epsilon"], "ehat_sup": m["ehat_sup_max"]} for m in members]
+        ),
+        "electron_norm_trend": {
+            "table": [{"epsilon": m["epsilon"]} | m["electron_norms_max"] for m in members]
+        },
         "verdict": overall,
     }
 

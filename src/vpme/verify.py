@@ -14,8 +14,9 @@ Audited properties:
   - single-run growth: Q(t,t) against B (t^(1/2) + t^(1+omega));
   - sweep envelope: log Q(T,T) - log(T^(1/2) + T^(1+omega)) fitted linearly
     in 1/eps^2; all points must sit within 10% above the fit;
-  - recorded (non-gating) trends: sup|E_hat| and the screened-electron norms
-    against the same exponential-in-1/eps^2 shape.
+  - recorded (non-gating) trend: sup|E_hat| against the same
+    exponential-in-1/eps^2 shape (the sweep report also tables the
+    screened-electron norms per eps).
 """
 
 import json
@@ -171,22 +172,6 @@ def ehat_trend(entries):
         "table": table,
         "fit": {"c0": c0, "log_C": logc, "residuals": residuals},
         "verdict": "pass" if ok else "fail",
-    }
-
-
-def electron_norm_trend(entries):
-    """Table of eps against the run-sup of the screened-electron norms."""
-    return {
-        "table": [
-            {
-                "epsilon": e["epsilon"],
-                "L1": e["geU_L1"],
-                "L2": e["geU_L2"],
-                "L3": e["geU_L3"],
-                "Linf": e["geU_Linf"],
-            }
-            for e in entries
-        ]
     }
 
 

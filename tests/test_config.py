@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vpme import cli, diagnostics, fieldsolve, mesh, runner
+from vpme import cli, diagnostics, fieldsolve, mesh, particles, runner
 from vpme.config import ConfigError, load_config
 from vpme.mesh import GridSpec
 from vpme.particles import InitialDistributionSpec
@@ -242,6 +244,18 @@ def test_plot_data_parses_each_sweep_member_once(tmp_path, monkeypatch):
     monkeypatch.setattr(diagnostics, "read_timeseries", lambda path: parsed.append(path) or read(path))
     runner.plot_data(out)
     assert sorted(p.parent.name for p in parsed) == ["eps_0.8", "eps_1"]
+
+
+def test_drift_offsets_every_initial_kind():
+    cfg = small_scenario(drift=(0.5, 0.0, -0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 16^3 background is renormalized
+        g = mesh.evaluate_g(cfg.g_profile, cfg.grid)
+    ens = runner._build_ensemble(cfg, g, cfg.seed)
+    mean = np.average(ens.velocities, weights=ens.weights, axis=0)
+    # sigma = 1 Maxwellian: each mean component has standard error 1/sqrt(count)
+    assert np.abs(mean - np.asarray(cfg.drift)).max() <= 5.0 / np.sqrt(cfg.count)
+    assert particles.q_star(ens) == 0.0
 
 
 def test_vpme_imports_nothing_beyond_numpy_and_the_standard_library():

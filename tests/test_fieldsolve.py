@@ -281,14 +281,67 @@ def test_solve_field_validates_inputs():
             fs.solve_field(rho, g, eps)
 
 
-def test_absurd_initial_guess_raises_with_warm_start_advice():
+def _small_problem():
+    """16^3 ion density and background on [-2, 2]^3 at eps = 0.5."""
     grid = GridSpec(half_width=2.0, nodes=16)
-    rho = _background(grid, scale=0.5)
-    g = _background(grid)
+    return _background(grid, scale=0.5), _background(grid)
+
+
+def test_absurd_initial_guess_raises_with_warm_start_advice():
+    rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
     # exp overflows above ~709.8, so the first source evaluation trips
     with pytest.raises(fs.FieldSolveError, match="overflowed"):
         fs.solve_uhat(ub, g, 0.5, initial=np.full((16, 16, 16), 800.0))
+
+
+def test_newton_step_cap_raises_did_not_converge(monkeypatch):
+    rho, g = _small_problem()
+    ub = fs.solve_ubar(rho, 0.5)
+    monkeypatch.setattr(fs, "MAX_NEWTON", 1)
+    with pytest.raises(fs.FieldSolveError, match="did not converge in 1 iterations"):
+        fs.solve_uhat(ub, g, 0.5)
+
+
+def test_ascent_direction_raises_line_search_stagnated(monkeypatch):
+    rho, g = _small_problem()
+    ub = fs.solve_ubar(rho, 0.5)
+    pcg = fs._pcg
+
+    def negated(*args, **kwargs):
+        x, it = pcg(*args, **kwargs)
+        return -x, it
+
+    monkeypatch.setattr(fs, "_pcg", negated)
+    with pytest.raises(fs.FieldSolveError, match="line search stagnated"):
+        fs.solve_uhat(ub, g, 0.5)
+
+
+def test_unreachable_target_returns_through_the_contract_fallback(monkeypatch):
+    rho, g = _small_problem()
+    ub = fs.solve_ubar(rho, 0.5)
+    reference = fs.solve_uhat(ub, g, 0.5)
+    # with a zero target Newton runs to the round-off floor, where the line
+    # search stagnates and the contract residual lets the iterate through
+    monkeypatch.setattr(fs, "NEWTON_TARGET_RTOL", 0.0)
+    floor = fs.solve_uhat(ub, g, 0.5)
+    assert floor.residual <= fs.CONTRACT_RTOL
+    assert floor.iterations >= reference.iterations
+    assert np.abs(floor.field.values - reference.field.values).max() <= 1e-10
+
+
+def test_zero_contract_makes_the_ion_solve_stall(monkeypatch):
+    rho, _ = _small_problem()
+    monkeypatch.setattr(fs, "CONTRACT_RTOL", 0.0)
+    with pytest.raises(fs.FieldSolveError, match="stalled") as info:
+        fs.solve_ubar(rho, 0.5)
+    assert info.value.residual > 0.0
+
+
+def test_cached_grid_arrays_are_read_only():
+    grid = GridSpec(half_width=2.0, nodes=16)
+    for arr in (fs._neg_lap_eigs(14, grid.spacing), fs._sine_matrix(14), fs._node_coords(grid)):
+        assert not arr.flags.writeable
 
 
 def test_zero_solution_placeholder_shape():
