@@ -17,7 +17,7 @@ from .mesh import GridSpec, ScalarField, VectorField
 from .particles import InitialDistributionSpec, ParticleEnsemble, sample_initial
 from .profiles import SpatialProfile
 from .pusher import TimeSpec
-from .runner import EscapedMassError, RunArtifacts, run, sweep, verify_path
+from .runner import EscapedMassError, run, sweep, verify_path
 
 __all__ = [
     "ConfigError",
@@ -27,7 +27,6 @@ __all__ = [
     "GridSpec",
     "InitialDistributionSpec",
     "ParticleEnsemble",
-    "RunArtifacts",
     "ScalarField",
     "ScenarioConfig",
     "SpatialProfile",

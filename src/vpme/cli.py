@@ -43,7 +43,6 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="audit recorded bounds, write report.json")
     p_verify.add_argument("--path", required=True, help="run or sweep directory")
-    p_verify.add_argument("--omega", type=float, default=None, help="override recorded omega")
 
     p_plot = sub.add_parser("plot-data", help="emit plot-ready TSV tables")
     p_plot.add_argument("--path", required=True, help="run or sweep directory")
@@ -52,8 +51,8 @@ def _build_parser():
 
 def _cmd_run(args):
     cfg = _config.load_config(args.config)
-    artifacts = runner.run(cfg, args.out, seed=args.seed)
-    print(f"run ok: {artifacts.timeseries_path}")
+    out = runner.run(cfg, args.out, seed=args.seed)
+    print(f"run ok: {out / runner.TIMESERIES_NAME}")
     return EXIT_OK
 
 
@@ -68,7 +67,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    report = runner.verify_path(args.path, omega=args.omega)
+    report = runner.verify_path(args.path)
     print(f"report written: {args.path}/{runner.REPORT_NAME}")
     print(f"verdict: {report['verdict']}")
     return EXIT_OK

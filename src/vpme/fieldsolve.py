@@ -246,8 +246,15 @@ def _pcg(apply_a, apply_minv, b, rtol, maxiter=MAX_CG):
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
-        if math.sqrt(float(np.vdot(r, r))) <= rtol * norm_b:
+        res = math.sqrt(float(np.vdot(r, r)))
+        if res <= rtol * norm_b:
             return x, it
+        if not math.isfinite(res):
+            raise FieldSolveError(
+                f"inner conjugate-gradient residual became {res} at iteration {it}; "
+                "retry from a warm start near the solution",
+                residual=res,
+            )
         z = apply_minv(r)
         rz_next = float(np.vdot(r, z))
         p = z + (rz_next / rz) * p

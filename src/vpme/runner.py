@@ -1,5 +1,10 @@
 """Simulation driver: run loop, epsilon sweeps, report assembly, plot tables.
 
+``run`` writes one scenario into a directory and returns that directory;
+``sweep`` runs it once per epsilon into ``eps_<value>`` members listed in
+``index.json``. ``verify_path`` and ``plot_data`` take either kind of
+directory and walk a sweep's members through one reader of its index.
+
 Loop shape: kick-drift-kick with the current field -> deposit rho -> solve
 the field, strictly in that order; the electron solve warm-starts from the
 previous step's correction. t = 0 is the deposit and solve without a push.
@@ -13,12 +18,12 @@ field snapshot is written when requested.
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
 escaped-mass gate and a non-converging solver are the two abort paths.
+Every JSON artifact goes through ``verify.emit_report``.
 """
 
 import json
 import time as _time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,15 +41,6 @@ class EscapedMassError(RuntimeError):
     """More weight left the box than the configured gate allows."""
 
 
-@dataclass
-class RunArtifacts:
-    out_dir: Path
-    timeseries_path: Path
-    field_table_path: Path
-    meta_path: Path
-    snapshot_dir: Path | None
-
-
 def _build_ensemble(cfg, g, seed):
     if cfg.init.kind == "cold_lattice":
         ens = particles.node_lattice(g)
@@ -54,12 +50,6 @@ def _build_ensemble(cfg, g, seed):
         ens.velocities += np.asarray(cfg.drift)
         ens.initial_velocities = ens.velocities.copy()
     return ens
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _snapshot(snapshot_dir, step_index, solution):
@@ -74,7 +64,7 @@ def _snapshot(snapshot_dir, step_index, solution):
 
 
 def run(cfg, out_dir, seed=None):
-    """Execute one scenario into ``out_dir``; returns RunArtifacts.
+    """Execute one scenario into ``out_dir``; returns the directory as a Path.
 
     ``seed`` overrides the configured one.
     """
@@ -133,7 +123,7 @@ def run(cfg, out_dir, seed=None):
             "version": __version__,
             "wall_time_s": _time.perf_counter() - wall_start,
         }
-        _write_json(out / META_NAME, meta)
+        verify.emit_report(meta, out / META_NAME)
 
     def _deposit(n):
         nonlocal escaped_peak
@@ -174,42 +164,40 @@ def run(cfg, out_dir, seed=None):
             if n % cfg.time.checkpoint_every == 0 or n == steps:
                 j_mid = mesh.current_from_arrays(xmid, vmid, ens.weights, cfg.grid)
                 _checkpoint(n, diagnostics.continuity_residual(rho_prev, rho, j_mid, dt))
-    except EscapedMassError as exc:
-        status, error_msg = "escaped-mass-gate", str(exc)
-        _persist()
-        raise
-    except fieldsolve.FieldSolveError as exc:
-        status, error_msg = "solver-failure", str(exc)
+    except (EscapedMassError, fieldsolve.FieldSolveError) as exc:
+        status = "escaped-mass-gate" if isinstance(exc, EscapedMassError) else "solver-failure"
+        error_msg = str(exc)
         _persist()
         raise
 
     _persist()
-    return RunArtifacts(
-        out_dir=out,
-        timeseries_path=out / TIMESERIES_NAME,
-        field_table_path=out / FIELD_TABLE_NAME,
-        meta_path=out / META_NAME,
-        snapshot_dir=snapshot_dir,
-    )
+    return out
 
 
 def sweep(cfg, epsilons, out_dir):
-    """Run the scenario once per epsilon (same seed); failures are recorded."""
+    """Run the scenario once per epsilon (same seed); failures are recorded.
+
+    Every epsilon is validated before any member runs, so a bad value raises
+    ConfigError and writes nothing.
+    """
     if not epsilons:
         raise ValueError("sweep needs at least one epsilon value")
+    configs = [cfg.with_epsilon(eps) for eps in epsilons]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for eps in epsilons:
+    for eps, member_cfg in zip(epsilons, configs):
         member_dir = f"eps_{eps:g}"
         entry = {"epsilon": eps, "dir": member_dir, "status": "ok", "error": None}
         try:
-            run(cfg.with_epsilon(eps), out / member_dir)
+            run(member_cfg, out / member_dir)
         except (EscapedMassError, fieldsolve.FieldSolveError, ValueError) as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)
         entries.append(entry)
-    _write_json(out / SWEEP_INDEX_NAME, {"kind": "sweep", "epsilons": list(epsilons), "runs": entries})
+    verify.emit_report(
+        {"kind": "sweep", "epsilons": list(epsilons), "runs": entries}, out / SWEEP_INDEX_NAME
+    )
     return out / SWEEP_INDEX_NAME
 
 
@@ -218,23 +206,31 @@ def sweep(cfg, epsilons, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _load_run(path):
-    path = Path(path)
-    series = diagnostics.read_timeseries(path / TIMESERIES_NAME)
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _sweep_members(path):
+    """A sweep's index entries split into (ok, failed); None for a run directory."""
+    if (path / SWEEP_INDEX_NAME).exists():
+        runs = _read_json(path / SWEEP_INDEX_NAME)["runs"]
+        return [e for e in runs if e["status"] == "ok"], [e for e in runs if e["status"] != "ok"]
+    if (path / TIMESERIES_NAME).exists():
+        return None
+    raise FileNotFoundError(f"{path} holds neither a run nor a sweep")
+
+
+def _run_report(path, series):
     fields = diagnostics.read_table(path / FIELD_TABLE_NAME, diagnostics.FIELD_COLUMNS)
-    with open(path / META_NAME, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return series, fields, meta
-
-
-def _run_report(series, fields, meta, omega=None):
-    checks = verify.run_checks(series, meta, omega=omega)
+    meta = _read_json(path / META_NAME)
+    checks = verify.run_checks(series, meta)
     return {
         "kind": "run",
         "scenario_hash": meta["scenario_hash"],
         "seed": meta["seed"],
         "epsilon": meta["epsilon"],
-        "omega": float(omega) if omega is not None else meta["omega"],
+        "omega": meta["omega"],
         "grid": meta["grid"],
         "time": meta["time"],
         "checks": checks,
@@ -249,33 +245,25 @@ def _run_report(series, fields, meta, omega=None):
     }
 
 
-def verify_path(path, omega=None):
+def verify_path(path):
     """Build the bound report for a run or sweep directory and persist it."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no artifacts at {path}")
-    if (path / SWEEP_INDEX_NAME).exists():
-        report = _sweep_report(path, omega)
-    elif (path / TIMESERIES_NAME).exists():
-        report = _run_report(*_load_run(path), omega)
+    members = _sweep_members(path)
+    if members is None:
+        report = _run_report(path, diagnostics.read_timeseries(path / TIMESERIES_NAME))
     else:
-        raise FileNotFoundError(f"{path} holds neither a run nor a sweep")
+        report = _sweep_report(path, *members)
     verify.emit_report(report, path / REPORT_NAME)
     return report
 
 
-def _sweep_report(path, omega=None):
-    with open(path / SWEEP_INDEX_NAME, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
+def _sweep_report(path, ok, failed):
     members = []
     fit_points = []
-    skipped = []
-    for entry in index["runs"]:
-        if entry["status"] != "ok":
-            skipped.append({"dir": entry["dir"], "error": entry["error"]})
-            continue
-        series, fields, meta = _load_run(path / entry["dir"])
-        sub = _run_report(series, fields, meta, omega)
+    for entry in ok:
+        member = path / entry["dir"]
+        series = diagnostics.read_timeseries(member / TIMESERIES_NAME)
+        sub = _run_report(member, series)
         members.append(sub)
         fit_points.append(
             {
@@ -293,7 +281,7 @@ def _sweep_report(path, omega=None):
     return {
         "kind": "sweep",
         "members": members,
-        "skipped": skipped,
+        "skipped": [{"dir": e["dir"], "error": e["error"]} for e in failed],
         "main_bound_fit": fit,
         "ehat_trend": verify.ehat_trend(
             [{"epsilon": m["epsilon"], "ehat_sup": m["ehat_sup_max"]} for m in members]
@@ -321,11 +309,23 @@ def _write_tsv(path, comment, columns, rows):
 def plot_data(path):
     """Emit plain TSV tables (no rendering) for a run or sweep directory."""
     path = Path(path)
-    if (path / SWEEP_INDEX_NAME).exists():
-        return _plot_sweep(path)
-    if not (path / TIMESERIES_NAME).exists():
-        raise FileNotFoundError(f"no run artifacts at {path}")
-    return _plot_run(path, diagnostics.read_timeseries(path / TIMESERIES_NAME))
+    members = _sweep_members(path)
+    if members is None:
+        return _plot_run(path, diagnostics.read_timeseries(path / TIMESERIES_NAME))
+    written = []
+    rows = []
+    for entry in members[0]:
+        member = path / entry["dir"]
+        series = diagnostics.read_timeseries(member / TIMESERIES_NAME)
+        written.extend(_plot_run(member, series))
+        eps = entry["epsilon"]
+        rows.append([eps, 1.0 / eps**2, float(series["q_tt"][-1])])
+    plot_dir = path / "plots"
+    plot_dir.mkdir(exist_ok=True)
+    out = plot_dir / "q_vs_inv_eps2.tsv"
+    _write_tsv(out, "final Q(T,T) per sweep member", ["epsilon", "inv_eps2", "q_final"], rows)
+    written.append(out)
+    return written
 
 
 def _plot_run(path, series):
@@ -357,25 +357,4 @@ def _plot_run(path, series):
         ["t", "one_plus_q_star_cubed", "rho_inf"],
         [t, 1.0 + series["q_star"] ** 3, series["rho_inf"]],
     )
-    return written
-
-
-def _plot_sweep(path):
-    with open(path / SWEEP_INDEX_NAME, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    written = []
-    rows = []
-    for entry in index["runs"]:
-        if entry["status"] != "ok":
-            continue
-        member = path / entry["dir"]
-        series = diagnostics.read_timeseries(member / TIMESERIES_NAME)
-        written.extend(_plot_run(member, series))
-        eps = entry["epsilon"]
-        rows.append([eps, 1.0 / eps**2, float(series["q_tt"][-1])])
-    plot_dir = path / "plots"
-    plot_dir.mkdir(exist_ok=True)
-    out = plot_dir / "q_vs_inv_eps2.tsv"
-    _write_tsv(out, "final Q(T,T) per sweep member", ["epsilon", "inv_eps2", "q_final"], rows)
-    written.append(out)
     return written

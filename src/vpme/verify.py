@@ -30,7 +30,6 @@ DENSITY_FACTOR = 10.0
 ENVELOPE_MARGIN = math.log(1.1)
 GROWTH_FACTOR = 3.0
 Q_LOG_FLOOR = 1e-12
-DEFAULT_OMEGA = 0.25
 
 
 def _require(series, *columns):
@@ -180,10 +179,10 @@ def ehat_trend(entries):
 # ---------------------------------------------------------------------------
 
 
-def run_checks(series, meta, omega=None):
-    """All single-run audits; power-law applicability read from metadata."""
+def run_checks(series, meta):
+    """All single-run audits; omega, m1 and power-law applicability read from metadata."""
     m1 = float(meta["m1"])
-    omega = float(meta.get("omega", DEFAULT_OMEGA)) if omega is None else float(omega)
+    omega = float(meta["omega"])
     moment = [
         check_moment_bound(series, 2.0, "m2"),
         check_moment_bound(series, m1, "mk_m1"),
@@ -205,13 +204,9 @@ def run_checks(series, meta, omega=None):
 
 
 def emit_report(report, path):
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    """Canonical JSON for every artifact: sorted keys, two-space indent,
+    trailing newline, and a ValueError for a non-finite float."""
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return text
-
-
-def parse_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -9,6 +9,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 import conftest
 from conftest import make_scenario
@@ -17,6 +18,10 @@ from vpme.mesh import GridSpec, VectorField, evaluate_g
 from vpme.particles import InitialDistributionSpec, ParticleEnsemble
 from vpme.profiles import SpatialProfile
 from vpme.pusher import TimeSpec
+
+# every criterion here drives the session fixtures or a study of its own;
+# `-m "not slow"` leaves the unit tests, which run in seconds
+pytestmark = pytest.mark.slow
 
 
 def _verdict(number, label, ok, detail):
@@ -179,8 +184,8 @@ def test_criterion_8_free_streaming_invariants(freestream_run, tmp_path):
             time=TimeSpec(dt=0.2 * grid.spacing, t_end=3.2 * grid.spacing, checkpoint_every=1),
             g_profile=SpatialProfile(kind="gaussian", scale=0.5, center=(0.0, 0.0, 0.0)),
         )
-        art = runner.run(cfg, tmp_path / f"n{nodes}")
-        s = diagnostics.read_timeseries(art.timeseries_path)
+        out = runner.run(cfg, tmp_path / f"n{nodes}")
+        s = diagnostics.read_timeseries(out / runner.TIMESERIES_NAME)
         metrics.append(float(np.mean(s["continuity_res"][1:])))
         spacings.append(grid.spacing)
     slope = float(np.polyfit(np.log(spacings), np.log(metrics), 1)[0])

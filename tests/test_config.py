@@ -122,10 +122,10 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     cfg = small_scenario()
     a = runner.run(cfg, tmp_path / "a")
     b = runner.run(cfg, tmp_path / "b")
-    assert a.timeseries_path.read_bytes() == b.timeseries_path.read_bytes()
-    assert a.field_table_path.read_bytes() == b.field_table_path.read_bytes()
-    meta_a = json.loads(a.meta_path.read_text())
-    meta_b = json.loads(b.meta_path.read_text())
+    assert (a / runner.TIMESERIES_NAME).read_bytes() == (b / runner.TIMESERIES_NAME).read_bytes()
+    assert (a / runner.FIELD_TABLE_NAME).read_bytes() == (b / runner.FIELD_TABLE_NAME).read_bytes()
+    meta_a = json.loads((a / runner.META_NAME).read_text())
+    meta_b = json.loads((b / runner.META_NAME).read_text())
     assert meta_a["scenario_hash"] == meta_b["scenario_hash"]
 
 
@@ -133,8 +133,8 @@ def test_seed_override_changes_the_series(tmp_path):
     cfg = small_scenario()
     a = runner.run(cfg, tmp_path / "a")
     b = runner.run(cfg, tmp_path / "b", seed=999)
-    assert a.timeseries_path.read_bytes() != b.timeseries_path.read_bytes()
-    assert json.loads(b.meta_path.read_text())["seed"] == 999
+    assert (a / runner.TIMESERIES_NAME).read_bytes() != (b / runner.TIMESERIES_NAME).read_bytes()
+    assert json.loads((b / runner.META_NAME).read_text())["seed"] == 999
 
 
 def test_escaped_mass_gate_persists_then_raises(tmp_path):
@@ -161,22 +161,22 @@ def test_field_snapshots_written_when_requested(tmp_path):
     cfg = small_scenario(
         count=500, time=TimeSpec(dt=0.01, t_end=0.03, checkpoint_every=3), save_fields=True
     )
-    art = runner.run(cfg, tmp_path / "snap")
-    assert art.snapshot_dir is not None
-    u_path = art.snapshot_dir / "step_000000_u.field"
+    snapshot_dir = runner.run(cfg, tmp_path / "snap") / "snapshots"
+    assert snapshot_dir.is_dir()
+    u_path = snapshot_dir / "step_000000_u.field"
     assert u_path.exists()
     name, fld = mesh.read_field(u_path)
     assert name == "u"
     assert fld.values.shape == (16, 16, 16)
-    name_e, e_fld = mesh.read_field(art.snapshot_dir / "step_000003_e.field")
+    name_e, e_fld = mesh.read_field(snapshot_dir / "step_000003_e.field")
     assert name_e == "e" and e_fld.values.shape == (16, 16, 16, 3)
 
 
 def test_run_metadata_advisories_record_box_leakage(tmp_path):
     # sigma-1 tails on the half-width-4 box leave ~2e-4 outside: advisory
     cfg = small_scenario()
-    art = runner.run(cfg, tmp_path / "adv")
-    meta = json.loads(art.meta_path.read_text())
+    out = runner.run(cfg, tmp_path / "adv")
+    meta = json.loads((out / runner.META_NAME).read_text())
     assert any("outside the box" in a for a in meta["advisories"])
     assert meta["backend"] == "numpy"
     assert meta["boundary_closure"] == "monopole"
@@ -244,6 +244,49 @@ def test_plot_data_parses_each_sweep_member_once(tmp_path, monkeypatch):
     monkeypatch.setattr(diagnostics, "read_timeseries", lambda path: parsed.append(path) or read(path))
     runner.plot_data(out)
     assert sorted(p.parent.name for p in parsed) == ["eps_0.8", "eps_1"]
+
+
+def test_failed_sweep_member_is_skipped_by_verify_and_plot_data(tmp_path):
+    out = tmp_path / "sweep"
+    runner.run(small_scenario(epsilon=1.0), out / "eps_1")
+    # the failed member's directory holds a complete run, which must still be ignored
+    shutil.copytree(out / "eps_1", out / "eps_0.5")
+    runs = [
+        {"epsilon": 1.0, "dir": "eps_1", "status": "ok", "error": None},
+        {"epsilon": 0.5, "dir": "eps_0.5", "status": "failed", "error": "forced"},
+    ]
+    (out / runner.SWEEP_INDEX_NAME).write_text(json.dumps({"kind": "sweep", "runs": runs}))
+    report = runner.verify_path(out)
+    assert [m["epsilon"] for m in report["members"]] == [1.0]
+    assert report["skipped"] == [{"dir": "eps_0.5", "error": "forced"}]
+    runner.plot_data(out)
+    assert (out / "eps_1" / "plots").is_dir()
+    assert not (out / "eps_0.5" / "plots").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_sweep_json_artifacts_are_strict(tmp_path):
+    ini = _small_ini(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(ini), "--epsilon", "1.0,0.8", "--out", str(out)]) == 0
+    assert cli.main(["verify", "--path", str(out)]) == 0
+    paths = [out / runner.SWEEP_INDEX_NAME, out / runner.REPORT_NAME]
+    paths += [out / member / runner.META_NAME for member in ("eps_1", "eps_0.8")]
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("epsilons", ["1.0,nan", "1.0,1.5"])
+def test_cli_sweep_rejects_a_bad_epsilon_before_running(tmp_path, capsys, epsilons):
+    ini = _small_ini(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(ini), "--epsilon", epsilons, "--out", str(out)]) == 1
+    assert "epsilon must lie in (0, 1]" in capsys.readouterr().err
+    assert not (out / runner.SWEEP_INDEX_NAME).exists()
+    assert not (out / "eps_1").exists()
 
 
 def test_drift_offsets_every_initial_kind():
@@ -324,6 +367,16 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "field solve failed" in capsys.readouterr().err
     meta = json.loads((tmp_path / "fail" / runner.META_NAME).read_text())
     assert meta["status"] == "solver-failure"
+
+
+def test_cli_verify_and_plot_data_reject_a_directory_without_artifacts(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["verify", "--path", str(empty)]) == 1
+    verify_err = capsys.readouterr().err
+    assert "holds neither a run nor a sweep" in verify_err
+    assert cli.main(["plot-data", "--path", str(empty)]) == 1
+    assert capsys.readouterr().err == verify_err
 
 
 def test_cli_verify_rejects_truncated_series(tmp_path, capsys):

@@ -295,6 +295,15 @@ def test_absurd_initial_guess_raises_with_warm_start_advice():
         fs.solve_uhat(ub, g, 0.5, initial=np.full((16, 16, 16), 800.0))
 
 
+def test_non_finite_cg_residual_raises_with_warm_start_advice():
+    rho, g = _small_problem()
+    ub = fs.solve_ubar(rho, 0.5)
+    # exp(705) is finite, but the Newton operator built on it is not: the
+    # inner CG residual turns NaN on its first iteration
+    with pytest.raises(fs.FieldSolveError, match="retry from a warm start"):
+        fs.solve_uhat(ub, g, 0.5, initial=np.full((16, 16, 16), 705.0))
+
+
 def test_newton_step_cap_raises_did_not_converge(monkeypatch):
     rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
