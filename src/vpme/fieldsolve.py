@@ -16,9 +16,12 @@ The linear solve is a type-1 DST diagonalization (exact for this stencil,
 defect-corrected if rounding ever leaves a residual above contract). The
 nonlinear solve is damped Newton; the scalar mass unknown is eliminated by a
 Schur complement, so each step is two conjugate-gradient solves on
--eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the exact DST
-inverse of -eps^2 Lap + mean(w); the ion part uses the same shifted DST
-solve with shift 0.
+A = -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the DST
+inverse of M = -eps^2 Lap + mean(w); the ion part uses the same shifted DST
+solve with shift 0. That inverse is exact, so for z = M^-1 r the product
+A z = r + (w - mean(w)) z needs no stencil, and CG keeps A p by recurrence
+from it (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981): the CG loop only
+applies M^-1 and multiplies by the diagonal d = w - mean(w).
 
 One evaluator gives the state of an electron iterate: it puts the boundary
 row -mu K around the interior values and returns the grid, the source
@@ -59,9 +62,11 @@ MAX_CG = 500
 class FieldSolveError(RuntimeError):
     """Raised when a field solve cannot reach its residual contract."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
+        # inner CG iterations spent by the failed linear solve, when one failed
+        self.iterations = iterations
 
 
 @dataclass
@@ -145,10 +150,14 @@ def dstn(x):
     return y @ s
 
 
-def _shifted_lap_solve(rhs, h, eps2, shift):
-    """Exact solve of (-eps2 Lap_h + shift) x = rhs, zero Dirichlet."""
-    lam = eps2 * _neg_lap_eigs(rhs.shape[0], h) + shift
-    return dstn(dstn(rhs) / lam)
+def _shifted_lap_inverse(m, h, eps2, shift):
+    """Exact solve r -> x of (-eps2 Lap_h + shift) x = r on the m^3 interior, zero Dirichlet.
+
+    The shifted spectrum is built once here; each call of the returned
+    function is two transforms and one division.
+    """
+    lam = eps2 * _neg_lap_eigs(m, h) + shift
+    return lambda r: dstn(dstn(r) / lam)
 
 
 def _lap_interior(u, h):
@@ -163,12 +172,6 @@ def _lap_interior(u, h):
         + u[1:-1, 1:-1, :-2]
         - 6.0 * c
     ) / h**2
-
-
-def _lap_zero_dirichlet(x, h):
-    full = np.zeros((x.shape[0] + 2,) * 3)
-    full[1:-1, 1:-1, 1:-1] = x
-    return _lap_interior(full, h)
 
 
 def _fold_boundary(rhs, bc, h):
@@ -214,11 +217,13 @@ def _monopole_values(grid, charge, center, eps2):
 
 
 def _centroid(values, grid):
+    """Centroid of a nonnegative node array; the origin when it sums to zero."""
     total = float(values.sum())
     if total <= 0.0:
         return np.zeros(3)
-    coords = _node_coords(grid)
-    return (values[..., None] * coords).reshape(-1, 3).sum(axis=0) / total
+    ax = grid.axis()
+    planes = (values.sum(axis=(1, 2)), values.sum(axis=(0, 2)), values.sum(axis=(0, 1)))
+    return np.array([float(s @ ax) for s in planes]) / total
 
 
 def _assemble(interior, bc):
@@ -232,7 +237,12 @@ def _assemble(interior, bc):
 # ---------------------------------------------------------------------------
 
 
-def _pcg(apply_a, apply_minv, b, rtol, maxiter=MAX_CG):
+def _pcg(d, apply_minv, b, rtol):
+    """Preconditioned CG on A x = b, A = M + diag(d), with M^-1 applied exactly.
+
+    For z = M^-1 r, A z = r + d z, so A p follows p through the same update,
+    A p <- A z + beta A p, and no stencil is applied.
+    """
     x = np.zeros_like(b)
     norm_b = math.sqrt(float(np.vdot(b, b)))
     if norm_b == 0.0:
@@ -240,9 +250,9 @@ def _pcg(apply_a, apply_minv, b, rtol, maxiter=MAX_CG):
     r = b.copy()
     z = apply_minv(r)
     p = z.copy()
+    ap = r + d * z
     rz = float(np.vdot(r, z))
-    for it in range(1, maxiter + 1):
-        ap = apply_a(p)
+    for it in range(1, MAX_CG + 1):
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
@@ -254,14 +264,23 @@ def _pcg(apply_a, apply_minv, b, rtol, maxiter=MAX_CG):
                 f"inner conjugate-gradient residual became {res} at iteration {it}; "
                 "retry from a warm start near the solution",
                 residual=res,
+                iterations=it,
             )
         z = apply_minv(r)
         rz_next = float(np.vdot(r, z))
-        p = z + (rz_next / rz) * p
+        beta = rz_next / rz
+        p *= beta
+        p += z
+        ap *= beta
+        ap += r
+        ap += d * z
         rz = rz_next
+    rel = math.sqrt(float(np.vdot(r, r))) / norm_b
     raise FieldSolveError(
-        f"inner conjugate-gradient solve did not reach rtol {rtol} in {maxiter} iterations",
-        residual=math.sqrt(float(np.vdot(r, r))) / norm_b,
+        f"inner conjugate-gradient solve did not reach rtol {rtol} in {MAX_CG} iterations "
+        f"(relative residual {rel:.3e})",
+        residual=rel,
+        iterations=MAX_CG,
     )
 
 
@@ -286,7 +305,8 @@ def solve_ubar(rho, epsilon):
     bc = _monopole_values(grid, mass, center, eps2)
     rhs = -rho.values[1:-1, 1:-1, 1:-1] / eps2
     _fold_boundary(rhs, bc, h)
-    u = _assemble(-_shifted_lap_solve(rhs, h, 1.0, 0.0), bc)
+    m = rhs.shape[0]
+    u = _assemble(-_shifted_lap_inverse(m, h, 1.0, 0.0)(rhs), bc)
 
     scale = max(math.sqrt(float(np.vdot(rho.values, rho.values))), 1e-300)
     for check in range(3):
@@ -295,7 +315,7 @@ def solve_ubar(rho, epsilon):
         if rel <= CONTRACT_RTOL:
             return ScalarField(grid, u)
         if check < 2:
-            u[1:-1, 1:-1, 1:-1] += _shifted_lap_solve(defect, h, eps2, 0.0)
+            u[1:-1, 1:-1, 1:-1] += _shifted_lap_inverse(m, h, eps2, 0.0)(defect)
     raise FieldSolveError(
         f"ion potential solve stalled at relative residual {rel:.3e}", residual=rel
     )
@@ -338,6 +358,12 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     round-off at small eps. Each step eliminates mu by a Schur complement,
     so both linear solves are the interior CG. The centroid in r is
     refreshed after each accepted step.
+
+    Each Newton step builds the shifted spectrum of M = -eps^2 Lap_h +
+    mean(w) once. Its DST inverse is exact, so the CG needs only M^-1 and
+    the diagonal d = w - mean(w): A p is kept by recurrence, not applied.
+    A CG that fails raises FieldSolveError naming eps, the Newton step, the
+    CG iterations spent in this call and the reached relative residual.
     """
     _check_epsilon(epsilon)
     grid = ubar.grid
@@ -406,19 +432,25 @@ def solve_uhat(ubar, g, epsilon, initial=None):
 
         # Newton system [[-A, c], [vol w^T, dG/dmu]] [du, dmu] = -[F, G] with
         # A = -eps^2 Lap_h + diag(w) and c = dF/dmu, the boundary row folded
-        # onto the interior; eliminating dmu leaves two solves with A
+        # onto the interior; eliminating dmu leaves two solves with A, each
+        # preconditioned by the exact inverse of A - diag(w - mean(w))
         w = src[inner]
         shift = float(w.mean())
-        (z1, it1), (z2, it2) = (
-            _pcg(
-                lambda x: -eps2 * _lap_zero_dirichlet(x, h) + w * x,
-                lambda r: _shifted_lap_solve(r, h, eps2, shift),
-                rhs,
-                NEWTON_CG_RTOL,
-            )
-            for rhs in (f, eps2 * _fold_boundary(np.zeros_like(f), kern, h))
-        )
-        cg_total += it1 + it2
+        minv = _shifted_lap_inverse(w.shape[0], h, eps2, shift)
+        d = w - shift
+        try:
+            z1, it1 = _pcg(d, minv, f, NEWTON_CG_RTOL)
+            cg_total += it1
+            c = eps2 * _fold_boundary(np.zeros_like(f), kern, h)
+            z2, it2 = _pcg(d, minv, c, NEWTON_CG_RTOL)
+            cg_total += it2
+        except FieldSolveError as exc:
+            raise FieldSolveError(
+                f"{exc} [electron Newton step {accepted + 1} at eps {epsilon:g}, "
+                f"{cg_total + exc.iterations} CG iterations in this solve]",
+                residual=exc.residual,
+                iterations=exc.iterations,
+            ) from exc
         dgdmu = -1.0 - vol * float((src * kern).sum())
         dmu = -(gap + vol * float(np.vdot(w, z1))) / (dgdmu + vol * float(np.vdot(w, z2)))
         delta = z1 + dmu * z2

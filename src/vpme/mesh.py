@@ -109,20 +109,6 @@ def current_from_arrays(positions, velocities, weights, grid):
     return VectorField(grid, raw / grid.cell_volume)
 
 
-def interpolate(field, positions):
-    """Gather a vector field at one position (3,) or a batch (n, 3).
-
-    Positions outside the box get exact zeros.
-    """
-    pos = np.ascontiguousarray(positions, dtype=float)
-    single = pos.ndim == 1
-    if single:
-        pos = pos[None, :]
-    out = np.empty((pos.shape[0], 3))
-    kernels.gather_vec(field.values, pos, field.grid.origin, field.grid.spacing, out)
-    return out[0] if single else out
-
-
 # ---------------------------------------------------------------------------
 # background density
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics, fieldsolve, kernels, mesh, particles, pusher, verify
+from .config import ConfigError
 
 META_NAME = "run_meta.json"
 TIMESERIES_NAME = "timeseries.csv"
@@ -177,17 +178,21 @@ def run(cfg, out_dir, seed=None):
 def sweep(cfg, epsilons, out_dir):
     """Run the scenario once per epsilon (same seed); failures are recorded.
 
-    Every epsilon is validated before any member runs, so a bad value raises
-    ConfigError and writes nothing.
+    Every epsilon is validated before any member runs, so a bad value, or
+    two values that would share a member directory, raises ConfigError and
+    writes nothing.
     """
     if not epsilons:
         raise ValueError("sweep needs at least one epsilon value")
     configs = [cfg.with_epsilon(eps) for eps in epsilons]
+    member_dirs = [f"eps_{eps:g}" for eps in epsilons]
+    shared = sorted({d for d in member_dirs if member_dirs.count(d) > 1})
+    if shared:
+        raise ConfigError(f"sweep epsilons must differ to 6 significant digits; {shared} repeat")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for eps, member_cfg in zip(epsilons, configs):
-        member_dir = f"eps_{eps:g}"
+    for eps, member_cfg, member_dir in zip(epsilons, configs, member_dirs):
         entry = {"epsilon": eps, "dir": member_dir, "status": "ok", "error": None}
         try:
             run(member_cfg, out / member_dir)

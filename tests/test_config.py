@@ -289,6 +289,15 @@ def test_cli_sweep_rejects_a_bad_epsilon_before_running(tmp_path, capsys, epsilo
     assert not (out / "eps_1").exists()
 
 
+def test_cli_sweep_rejects_epsilons_sharing_a_member_directory(tmp_path, capsys):
+    ini = _small_ini(tmp_path)
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(ini), "--epsilon", "1.0,0.5,0.5000001", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert "['eps_0.5'] repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_drift_offsets_every_initial_kind():
     cfg = small_scenario(drift=(0.5, 0.0, -0.25))
     with warnings.catch_warnings():

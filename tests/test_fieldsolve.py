@@ -105,9 +105,83 @@ def test_preconditioner_is_exact_shifted_inverse():
     rng = np.random.default_rng(42)
     rhs = rng.standard_normal((14, 14, 14))
     eps2, shift = 0.36, 0.7
-    x = fs._shifted_lap_solve(rhs, h, eps2, shift)
-    back = -eps2 * fs._lap_zero_dirichlet(x, h) + shift * x
+    x = fs._shifted_lap_inverse(14, h, eps2, shift)(rhs)
+    # the CG keeps A p by recurrence on this identity: M M^-1 r = r
+    back = -eps2 * fs._lap_interior(fs._assemble(x, np.zeros((16,) * 3)), h) + shift * x
     assert np.abs(back - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+def _stencil_pcg(eps2, w, h, minv, b, rtol):
+    """Textbook PCG that applies A = -eps2 Lap_h + diag(w) by the stencil."""
+    zero = np.zeros((b.shape[0] + 2,) * 3)
+    x = np.zeros_like(b)
+    norm_b = math.sqrt(float(np.vdot(b, b)))
+    r = b.copy()
+    z = minv(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    for it in range(1, fs.MAX_CG + 1):
+        ap = -eps2 * fs._lap_interior(fs._assemble(p, zero), h) + w * p
+        alpha = rz / float(np.vdot(p, ap))
+        x += alpha * p
+        r -= alpha * ap
+        if math.sqrt(float(np.vdot(r, r))) <= rtol * norm_b:
+            return x, it
+        z = minv(r)
+        rz_next = float(np.vdot(r, z))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("stencil PCG did not converge")
+
+
+def test_recurrence_pcg_matches_stencil_pcg():
+    # w = g e^U of a solved eps = 0.05 problem spans 2.4 decades, so the
+    # constant shift of the preconditioner is far from w over most nodes
+    grid = GridSpec(half_width=2.0, nodes=32)
+    h, m, eps = grid.spacing, grid.nodes - 2, 0.05
+    g = _background(grid)
+    sol = fs.solve_field(ScalarField(grid, _background(grid, scale=0.9).values * 0.999), g, eps)
+    w = (g.values * np.exp(sol.u.values))[1:-1, 1:-1, 1:-1]
+    assert w.max() > 100.0 * w.min()
+    shift = float(w.mean())
+    minv = fs._shifted_lap_inverse(m, h, eps**2, shift)
+    b = np.random.default_rng(11).standard_normal((m, m, m))
+    for rtol in (fs.NEWTON_CG_RTOL, 1e-10):
+        x, it = fs._pcg(w - shift, minv, b, rtol)
+        ref, ref_it = _stencil_pcg(eps**2, w, h, minv, b, rtol)
+        assert it == ref_it
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_recurrence_pcg_meets_its_residual_on_a_stiff_diagonal():
+    # w peaks at 7.5 against a mean near 0.03: CG takes about 40 (rtol 1e-4)
+    # and 90 (rtol 1e-10) iterations, along which the recurrence and the
+    # stencil iterates part by rounding, so the oracle here is the true
+    # residual b - A x, not the stencil PCG's x
+    grid = GridSpec(half_width=4.0, nodes=32)
+    h, m, eps2 = grid.spacing, grid.nodes - 2, 0.1**2
+    rng = np.random.default_rng(11)
+    r2 = (grid.node_coords()[1:-1, 1:-1, 1:-1] ** 2).sum(axis=-1)
+    w = 5.0 * np.exp(-r2) * rng.uniform(0.5, 1.5, (m, m, m)) + 1e-4
+    b = rng.standard_normal((m, m, m))
+    shift = float(w.mean())
+    minv = fs._shifted_lap_inverse(m, h, eps2, shift)
+    zero = np.zeros((m + 2,) * 3)
+    for rtol in (fs.NEWTON_CG_RTOL, 1e-10):
+        x, it = fs._pcg(w - shift, minv, b, rtol)
+        true_res = b + eps2 * fs._lap_interior(fs._assemble(x, zero), h) - w * x
+        assert it > 30
+        assert np.linalg.norm(true_res) <= 1.1 * rtol * np.linalg.norm(b)
+
+
+def test_centroid_from_axis_sums_matches_node_coordinate_formula():
+    grid = GridSpec(half_width=2.0, nodes=24)
+    values = _background(grid, scale=0.6, center=(0.3, -0.5, 0.2)).values
+    values = values * np.random.default_rng(5).uniform(0.5, 1.5, values.shape)
+    coords = grid.node_coords()
+    expected = (values[..., None] * coords).reshape(-1, 3).sum(axis=0) / values.sum()
+    assert np.abs(fs._centroid(values, grid) - expected).max() <= 1e-14 * grid.half_width
+    assert (fs._centroid(np.zeros_like(values), grid) == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +384,21 @@ def test_newton_step_cap_raises_did_not_converge(monkeypatch):
     monkeypatch.setattr(fs, "MAX_NEWTON", 1)
     with pytest.raises(fs.FieldSolveError, match="did not converge in 1 iterations"):
         fs.solve_uhat(ub, g, 0.5)
+
+
+def test_cg_cap_names_eps_newton_step_iterations_and_residual(monkeypatch):
+    rho, g = _small_problem()
+    ub = fs.solve_ubar(rho, 0.5)
+    monkeypatch.setattr(fs, "MAX_CG", 1)
+    with pytest.raises(fs.FieldSolveError, match="did not reach rtol") as info:
+        fs.solve_uhat(ub, g, 0.5)
+    message = str(info.value)
+    assert "in 1 iterations" in message
+    assert "electron Newton step 1 at eps 0.5" in message
+    assert "1 CG iterations in this solve" in message
+    assert info.value.iterations == 1
+    assert fs.NEWTON_CG_RTOL < info.value.residual < 1.0
+    assert f"relative residual {info.value.residual:.3e}" in message
 
 
 def test_ascent_direction_raises_line_search_stagnated(monkeypatch):

@@ -149,6 +149,18 @@ def test_gather_zero_outside_box():
     assert (out == 0.0).all()
 
 
+def test_gather_at_nodes_and_outside():
+    grid = RNG.standard_normal((NODES, NODES, NODES, 3))
+    ax = X0 + H * np.arange(NODES)
+    pos = np.array([[ax[3], ax[7], ax[1]], [ax[0], ax[0], ax[0]], [L + 1.0, 0.0, 0.0]])
+    out = np.empty((3, 3))
+    assert kernels.gather_vec(grid, pos, X0, H, out) is out
+    assert out.shape == (3, 3)
+    assert np.allclose(out[0], grid[3, 7, 1], atol=1e-14)
+    assert np.allclose(out[1], grid[0, 0, 0], atol=1e-14)
+    assert (out[2] == 0.0).all()
+
+
 def test_gather_matches_trilinear_by_hand():
     grid = RNG.standard_normal((NODES, NODES, NODES, 3))
     pos = np.array([[0.3, -0.7, 1.1]])

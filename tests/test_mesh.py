@@ -89,19 +89,6 @@ def test_deposit_density_tracks_escaped_mass():
     assert rho.values.sum() * g.cell_volume == pytest.approx(0.8, abs=1e-14)
 
 
-def test_interpolate_at_nodes_and_outside():
-    g = GridSpec(half_width=2.0, nodes=10)
-    vals = RNG.standard_normal((10, 10, 10, 3))
-    field = VectorField(g, vals)
-    ax = g.axis()
-    single = mesh.interpolate(field, np.array([ax[3], ax[7], ax[1]]))
-    assert np.allclose(single, vals[3, 7, 1], atol=1e-14)
-    batch = mesh.interpolate(field, np.array([[ax[0], ax[0], ax[0]], [3.0, 0.0, 0.0]]))
-    assert batch.shape == (2, 3)
-    assert np.allclose(batch[0], vals[0, 0, 0], atol=1e-14)
-    assert (batch[1] == 0.0).all()
-
-
 def test_gradient_exact_for_quadratics():
     g = GridSpec(half_width=1.5, nodes=14)
     c = g.node_coords()
