@@ -15,7 +15,7 @@ nothing.
 
 import numpy as np
 
-from . import mesh, particles
+from . import kernels, mesh, particles
 
 COLUMNS = [
     "t",
@@ -109,7 +109,7 @@ class DiagnosticsAccumulator:
         exp_u = np.exp(field_solution.u.values)
         g_exp_u = g.values * exp_u
         e2 = (field_solution.e.values**2).sum(axis=-1)
-        v2 = (ensemble.velocities**2).sum(axis=1)
+        v2 = kernels.row_norm2(ensemble.velocities)
         field_row = field_table_row(t, field_solution, e2, g_exp_u)
         kin, fld, ele, tot = energy(ensemble.weights, v2, field_solution, g, exp_u, e2)
         moments = particles.instantaneous_moments(ensemble.weights, v2, self.k_list)

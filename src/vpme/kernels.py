@@ -12,15 +12,26 @@ each axis, s = (x - x0)/h; s is clamped to [0, N-1], the base index to N-2,
 and the eight corners come in the order dz fastest, then dy, then dx, with
 weight (wx*wy)*wz (a deposit adds w*weight). A NaN position is out of the box.
 
-The kernels address the C-ordered node array through one flat index: `_cic`
-gives each in-box particle its base node (ix*N + iy)*N + iz and yields the
-eight corners as (flat offset, weight). Deposits scatter with np.add.at on
-the flattened array (one strided component view at a time for vectors), and
-the gather takes from one contiguous plane per component. Every node and
-particle component thus receives the same products in the same order as a
-per-corner (ix, iy, iz) fancy index would give it, so the results are
-bitwise those of that formulation; tests/test_kernels.py keeps it as the
-oracle.
+The kernels address the C-ordered node array through one flat index. One
+CIC setup, `cic_setup`, serves every kernel that reads or writes at the same
+positions: the in-box mask (`slice(None)` when every particle is in the box,
+so that no kernel copies), each in-box particle's base node
+(ix*N + iy)*N + iz and its (n, 3) fractions. `corners` turns the
+fractions into the eight (flat offset, weight) pairs. Deposits scatter with
+np.add.at on the flattened array (one strided component view at a time for
+vectors), and the gather takes from one contiguous plane per component.
+Every node and particle component thus receives the same products in the
+same order as a per-corner (ix, iy, iz) fancy index would give it, so the
+results are bitwise those of that formulation; tests/test_kernels.py keeps
+it as the oracle.
+
+Who builds a setup, who consumes it and when it is freed: `push_kdk` takes
+the setup of the current positions in a one-slot list, empties the list for
+the opening gather, so the setup is freed before the drifted positions get
+theirs, and leaves that new setup in the list after the closing gather
+consumed it. The runner passes it on to the density deposit and holds it in
+the list through the solve and the checkpoint, until the next push empties
+it. A setup is about 33 bytes per particle.
 
 EDGE_TOL (in index units) absorbs the rounding of (x - x0)/h for particles
 sitting exactly on the box faces; without it a node-lattice particle at +L
@@ -35,31 +46,49 @@ EDGE_TOL = 1e-9
 BACKEND = "numpy"
 
 
-def _cic(pos, x0, h, nodes):
-    """In-box mask, flat base node index and the eight (offset, weight) corners.
+def cic_setup(pos, x0, h, nodes):
+    """CIC setup of ``pos``: (in-box mask, flat base node index, (n, 3) fractions).
 
-    Corner (dx, dy, dz) sits at base + (dx*N + dy)*N + dz with weight
-    (wx*wy)*wz, wx being 1 - fx or fx. The corners are yielded one at a time
-    so that one corner's weights are alive at once, not eight.
+    The mask is ``slice(None)`` when every particle is in the box. One buffer
+    is scaled, compressed to the in-box rows when some are out, clipped and
+    reduced to the fractions in place.
     """
-    s = (pos - x0) / h
+    s = pos - x0
+    s /= h
     ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
     inbox = ok[:, 0] & ok[:, 1] & ok[:, 2]
-    s = np.clip(s.compress(inbox, axis=0), 0.0, nodes - 1.0)
-    idx = np.minimum(s.astype(np.int64), nodes - 2)
-    frac = s - idx
+    if inbox.all():
+        inbox = slice(None)
+    else:
+        s = s.compress(inbox, axis=0)
+    np.clip(s, 0.0, nodes - 1.0, out=s)
+    idx = s.astype(np.int64)
+    np.minimum(idx, nodes - 2, out=idx)
+    s -= idx
     base = (idx[:, 0] * nodes + idx[:, 1]) * nodes + idx[:, 2]
+    return inbox, base, s
+
+
+def corners(frac, nodes):
+    """The eight (flat offset, weight) corners of a setup's fractions, one at a time.
+
+    Corner (dx, dy, dz) sits at base + (dx*N + dy)*N + dz with weight
+    (wx*wy)*wz, wx being 1 - fx or fx; dz runs fastest, then dy, then dx.
+    Yielding them one at a time keeps one corner's weights alive, not eight;
+    each weight array is new, so a caller may scale it in place.
+    """
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    for dx, wx in ((0, gx), (1, fx)):
+        for dy, wy in ((0, gy), (1, fy)):
+            wxy = wx * wy
+            for dz, wz in ((0, gz), (1, fz)):
+                yield (dx * nodes + dy) * nodes + dz, wxy * wz
 
-    def corners():
-        for dx, wx in ((0, gx), (1, fx)):
-            for dy, wy in ((0, gy), (1, fy)):
-                wxy = wx * wy
-                for dz, wz in ((0, gz), (1, fz)):
-                    yield (dx * nodes + dy) * nodes + dz, wxy * wz
 
-    return inbox, base, corners()
+def row_norm2(a):
+    """Squared Euclidean norm of each row of an (n, 3) array, summed x, y, then z."""
+    return (a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]) + a[:, 2] * a[:, 2]
 
 
 def _flat_view(out):
@@ -69,33 +98,38 @@ def _flat_view(out):
     return out.reshape(-1)
 
 
-def deposit(pos, weights, x0, h, nodes, out):
-    inbox, base, corners = _cic(pos, x0, h, nodes)
+def deposit(cic, weights, out):
+    """Scatter ``weights`` at the setup ``cic`` into ``out``; returns the in-box weight."""
+    inbox, base, frac = cic
     w = weights[inbox]
     flat = _flat_view(out)
-    for off, cw in corners:
-        np.add.at(flat, base + off, w * cw)
+    for off, cw in corners(frac, out.shape[0]):
+        cw *= w
+        np.add.at(flat, base + off, cw)
     return float(w.sum())
 
 
-def deposit_vec(pos, weights, vec, x0, h, nodes, out):
-    inbox, base, corners = _cic(pos, x0, h, nodes)
+def deposit_vec(cic, weights, vec, out):
+    """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp)."""
+    inbox, base, frac = cic
     w = weights[inbox]
-    cols = vec.compress(inbox, axis=0).T.copy()
+    cols = vec[inbox].T.copy()
     rows = _flat_view(out).reshape(-1, vec.shape[1])
-    for off, cw in corners:
-        at, wcw = base + off, w * cw
+    at = np.empty_like(base)
+    for off, cw in corners(frac, out.shape[0]):
+        np.add(base, off, out=at)
+        cw *= w
         for c, col in enumerate(cols):
-            np.add.at(rows[:, c], at, wcw * col)
+            np.add.at(rows[:, c], at, cw * col)
     return float(w.sum())
 
 
-def gather_vec(grid, pos, x0, h, out):
-    nodes = grid.shape[0]
-    inbox, base, corners = _cic(pos, x0, h, nodes)
+def gather_vec(grid, cic, out):
+    """Trilinear ``grid`` (N, N, N, ncomp) values at the setup ``cic`` into ``out``; zero outside."""
+    inbox, base, frac = cic
     planes = [np.ascontiguousarray(grid[..., c]).reshape(-1) for c in range(grid.shape[3])]
     acc = np.zeros((len(planes), base.shape[0]))
-    for off, cw in corners:
+    for off, cw in corners(frac, grid.shape[0]):
         at = base + off
         for a, plane in zip(acc, planes):
             a += cw * plane.take(at)
@@ -104,19 +138,29 @@ def gather_vec(grid, pos, x0, h, out):
     return out
 
 
-def push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid):
+def push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid, cic=None):
+    """One kick-drift-kick step in place; returns the one-slot list ``cic``.
+
+    On entry ``cic`` holds the setup of ``pos`` (the list is allocated, and
+    the setup built, when it is None or empty). The opening gather takes the
+    setup out of the list, so it is freed before the drifted positions get
+    theirs; on return the list holds the setup of the drifted ``pos``.
+    """
+    nodes = egrid.shape[0]
+    if cic is None:
+        cic = []
     e1 = np.empty_like(vel)
-    gather_vec(egrid, pos, x0, h, e1)
+    gather_vec(egrid, cic.pop() if cic else cic_setup(pos, x0, h, nodes), e1)
     vel += 0.5 * dt * e1
     vmid[:] = vel
     xmid[:] = pos + 0.5 * dt * vel
     pos += dt * vel
+    cic.append(cic_setup(pos, x0, h, nodes))
     e2 = np.empty_like(vel)
-    gather_vec(egrid, pos, x0, h, e2)
+    gather_vec(egrid, cic[0], e2)
     vel += 0.5 * dt * e2
-    fint += 0.5 * dt * (
-        np.sqrt((e1 * e1).sum(axis=1)) + np.sqrt((e2 * e2).sum(axis=1))
-    )
+    fint += 0.5 * dt * (np.sqrt(row_norm2(e1)) + np.sqrt(row_norm2(e2)))
+    return cic
 
 
 # only so that perfbench/spans.py, which wraps this name, still finds it

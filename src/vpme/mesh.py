@@ -85,12 +85,16 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
-def deposit_density(ensemble, grid):
-    """Trilinear-deposited number density; updates ensemble.escaped_mass."""
+def deposit_density(ensemble, grid, cic=None):
+    """Trilinear-deposited number density; updates ensemble.escaped_mass.
+
+    ``cic`` is the CIC setup of the ensemble's positions (``kernels.cic_setup``),
+    built here when omitted.
+    """
+    if cic is None:
+        cic = kernels.cic_setup(ensemble.positions, grid.origin, grid.spacing, grid.nodes)
     raw = np.zeros((grid.nodes,) * 3)
-    inbox = kernels.deposit(
-        ensemble.positions, ensemble.weights, grid.origin, grid.spacing, grid.nodes, raw
-    )
+    inbox = kernels.deposit(cic, ensemble.weights, raw)
     ensemble.escaped_mass = max(0.0, ensemble.total_weight - inbox)
     return ScalarField(grid, raw / grid.cell_volume)
 
@@ -98,12 +102,9 @@ def deposit_density(ensemble, grid):
 def current_from_arrays(positions, velocities, weights, grid):
     raw = np.zeros((grid.nodes,) * 3 + (3,))
     kernels.deposit_vec(
-        np.ascontiguousarray(positions),
+        kernels.cic_setup(positions, grid.origin, grid.spacing, grid.nodes),
         np.ascontiguousarray(weights),
         np.ascontiguousarray(velocities),
-        grid.origin,
-        grid.spacing,
-        grid.nodes,
         raw,
     )
     return VectorField(grid, raw / grid.cell_volume)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .profiles import SpatialProfile
 
 INIT_KINDS = ("maxwellian", "power_law", "cold_lattice")
@@ -106,10 +107,9 @@ def instantaneous_moments(weights, v2, ks):
 
 def q_star(ensemble):
     """Largest velocity deviation from t=0: max_p |v_p - v_p(0)|."""
-    dv = ensemble.velocities - ensemble.initial_velocities
-    dv *= dv
+    dv2 = kernels.row_norm2(ensemble.velocities - ensemble.initial_velocities)
     # sqrt is monotone and correctly rounded: sqrt(max) == max(sqrt) bitwise
-    return float(np.sqrt(dv.sum(axis=1).max()))
+    return float(np.sqrt(dv2.max()))
 
 
 def q_tt(ensemble):

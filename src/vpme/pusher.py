@@ -5,6 +5,14 @@ full dt, then kicks with the field at the post-drift position. The per-kick
 |E| values (the very ones applied to the velocity) are accumulated into each
 particle's running field integral, half a step's worth per kick, so the
 integral dominates the realized velocity deviation by construction.
+
+Both kicks gather through a cloud-in-cell setup (``kernels.cic_setup``).
+``step`` takes the setup of the current positions in a one-slot list and
+leaves the setup of the drifted positions in it; the opening kick empties
+the list, so the old setup is freed before the new one is built. The runner
+hands that list from one step to the next, and the density deposit in
+between reads the setup from it. Without a list, as in a frozen field, the
+step builds both setups itself.
 """
 
 import math
@@ -34,17 +42,21 @@ class TimeSpec:
         return max(1, round(self.t_end / self.dt))
 
 
-def step(ensemble, e, dt, xmid=None, vmid=None):
+def step(ensemble, e, dt, xmid=None, vmid=None, cic=None):
     """Advance one kick-drift-kick step in place in the field ``e`` (a VectorField).
 
-    ``xmid``/``vmid`` receive the half-step drift positions and velocities
-    (allocated when omitted); they feed the midpoint current deposit.
+    ``xmid``/``vmid`` receive the half-step drift positions and velocities;
+    they feed the midpoint current deposit. ``cic`` is a one-slot list
+    holding the CIC setup of the current positions; the opening kick takes
+    it out, and on return the list holds the setup of the drifted positions.
+    Each is allocated (the setup built) when omitted. Returns
+    ``(xmid, vmid, cic)``.
     """
     if xmid is None:
         xmid = np.empty_like(ensemble.positions)
     if vmid is None:
         vmid = np.empty_like(ensemble.velocities)
-    kernels.push_kdk(
+    cic = kernels.push_kdk(
         ensemble.positions,
         ensemble.velocities,
         ensemble.field_integral,
@@ -54,8 +66,9 @@ def step(ensemble, e, dt, xmid=None, vmid=None):
         dt,
         xmid,
         vmid,
+        cic,
     )
-    return xmid, vmid
+    return xmid, vmid, cic
 
 
 def stability_check(v2max, e, dt):

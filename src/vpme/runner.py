@@ -15,6 +15,14 @@ midpoint current gives the continuity residual, one
 timeseries.csv and fields.csv, the step-size advisories are merged, and the
 field snapshot is written when requested.
 
+One CIC setup per ion position: the runner builds the setup of the t = 0
+positions for the first deposit and keeps it in a one-slot list. Each
+``pusher.step`` takes it out for its opening gather, which frees it, and
+leaves the setup of the drifted positions in the list; the closing gather
+and the deposit use that one, and the list holds it through the solve and
+the checkpoint until the next step. Only the checkpoint's current deposit
+at the half-step positions builds a setup of its own.
+
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
 escaped-mass gate and a non-converging solver are the two abort paths.
@@ -128,7 +136,7 @@ def run(cfg, out_dir, seed=None):
 
     def _deposit(n):
         nonlocal escaped_peak
-        rho = mesh.deposit_density(ens, cfg.grid)
+        rho = mesh.deposit_density(ens, cfg.grid, cic[0])
         escaped_peak = max(escaped_peak, ens.escaped_mass)
         if ens.escaped_mass > gate:
             raise EscapedMassError(
@@ -145,6 +153,7 @@ def run(cfg, out_dir, seed=None):
         if snapshot_dir is not None:
             _snapshot(snapshot_dir, n, sol)
 
+    cic = [kernels.cic_setup(ens.positions, cfg.grid.origin, cfg.grid.spacing, cfg.grid.nodes)]
     try:
         rho = _deposit(0)
         selfconsistent = cfg.field_mode == "selfconsistent"
@@ -158,7 +167,7 @@ def run(cfg, out_dir, seed=None):
         xmid = np.empty_like(ens.positions)
         vmid = np.empty_like(ens.velocities)
         for n in range(1, steps + 1):
-            pusher.step(ens, sol.e, dt, xmid, vmid)
+            pusher.step(ens, sol.e, dt, xmid, vmid, cic)
             rho_prev, rho = rho, _deposit(n)
             if selfconsistent:
                 sol = fieldsolve.solve_field(rho, g, cfg.epsilon, uhat_initial=sol.uhat)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vpme import cli, diagnostics, fieldsolve, mesh, particles, runner
+from vpme import cli, diagnostics, fieldsolve, kernels, mesh, particles, runner
 from vpme.config import ConfigError, load_config
 from vpme.mesh import GridSpec
 from vpme.particles import InitialDistributionSpec
@@ -127,6 +127,25 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     meta_a = json.loads((a / runner.META_NAME).read_text())
     meta_b = json.loads((b / runner.META_NAME).read_text())
     assert meta_a["scenario_hash"] == meta_b["scenario_hash"]
+
+
+def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):
+    # t = 0, then per step the drifted positions (shared by the closing
+    # gather, the deposit and the next opening gather), plus the current
+    # deposit at the half-step positions of each checkpoint after t = 0
+    calls = []
+    setup = kernels.cic_setup
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return setup(*args)
+
+    monkeypatch.setattr(kernels, "cic_setup", counted)
+    cfg = small_scenario(time=TimeSpec(dt=0.01, t_end=0.05, checkpoint_every=2))
+    runner.run(cfg, tmp_path / "run")
+    steps, checkpoints_after_t0 = 5, 3  # checkpoints at steps 2, 4 and 5
+    assert len(calls) == 1 + steps + checkpoints_after_t0
+    assert set(calls) == {(cfg.count, 3)}
 
 
 def test_seed_override_changes_the_series(tmp_path):
@@ -332,6 +351,21 @@ def test_perfbench_tracer_installs_on_vpme():
     code = "import spans\nspans.Tracer().install()\n"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_perfbench_smoke_ends_ok():
+    # perfbench/child.py ends set-up at the first pusher.step call; a runner
+    # that stops calling it first leaves loop_s at 0 and run.py crashes
+    root = Path(cli.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--smoke"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "smoke: ok"
 
 
 def test_cli_usage_and_config_errors(tmp_path, capsys):

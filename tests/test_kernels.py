@@ -18,6 +18,10 @@ def _cloud(n, spread=1.8):
     return pos, w, vec
 
 
+def _setup(pos):
+    return kernels.cic_setup(pos, X0, H, NODES)
+
+
 def _ref_corners(pos, nodes):
     # the reference numpy CIC: 3-tuple node indices and per-corner weights,
     # in the corner order and product order the flat-index kernels keep
@@ -67,29 +71,62 @@ def _oracle_cloud():
     return pos, RNG.uniform(0.1, 2.0, n), RNG.standard_normal((n, 3))
 
 
-def test_numpy_kernels_match_reference_bitwise():
-    pos, w, vec = _oracle_cloud()
-    assert ((np.abs(pos) > L).any(axis=1)).sum() > 100
+def _check_shared_setup_against_reference(pos, w, vec):
+    # one setup feeds all three kernels, as the runner's does
+    cic = _setup(pos)
     inbox, rho, cur = _ref_deposit(pos, w, vec, NODES)
     out = np.zeros((NODES,) * 3)
-    assert kernels.deposit(pos, w, X0, H, NODES, out) == inbox
+    assert kernels.deposit(cic, w, out) == inbox
     assert (out == rho).all()
     out = np.zeros((NODES,) * 3 + (3,))
-    assert kernels.deposit_vec(pos, w, vec, X0, H, NODES, out) == inbox
+    assert kernels.deposit_vec(cic, w, vec, out) == inbox
     assert (out == cur).all()
     grid = RNG.standard_normal((NODES,) * 3 + (3,))
     got = np.full_like(pos, np.nan)
-    kernels.gather_vec(grid, pos, X0, H, got)
+    kernels.gather_vec(grid, cic, got)
     assert (got == _ref_gather(grid, pos)).all()
+    return cic
+
+
+def test_numpy_kernels_match_reference_bitwise():
+    pos, w, vec = _oracle_cloud()
+    assert ((np.abs(pos) > L).any(axis=1)).sum() > 100
+    cic = _check_shared_setup_against_reference(pos, w, vec)
+    assert cic[0].dtype == bool  # the compress path
+
+
+def test_shared_setup_without_escapees_matches_reference_bitwise():
+    # every particle in the box, faces and nodes included: the no-copy path
+    pos, w, vec = _oracle_cloud()
+    keep = (np.abs(pos) <= L).all(axis=1)
+    pos, w, vec = pos[keep], w[keep], vec[keep]
+    assert (np.abs(pos) == L).any(axis=1).sum() > 50
+    cic = _check_shared_setup_against_reference(pos, w, vec)
+    assert cic[0] == slice(None)
+
+
+def test_setup_mask_base_and_fractions():
+    pos = np.array([[X0 + 3.25 * H, X0 + 5.5 * H, L], [L + 1.0, 0.0, 0.0], [X0, X0 + 0.5 * H, 0.0]])
+    inbox, base, frac = _setup(pos)
+    assert inbox.tolist() == [True, False, True]
+    # the top face clamps to the last cell, with fraction 1
+    assert base.tolist() == [(3 * NODES + 5) * NODES + NODES - 2, 5]
+    assert np.allclose(frac, [[0.25, 0.5, 1.0], [0.0, 0.5, 0.5]], atol=1e-12)
+
+
+def test_row_norm2_sums_x_y_then_z():
+    a = RNG.standard_normal((1000, 3)) * 10.0 ** RNG.uniform(-8, 8, (1000, 3))
+    expect = np.array([(x * x + y * y) + z * z for x, y, z in a.tolist()])
+    assert (kernels.row_norm2(a) == expect).all()
 
 
 def test_numpy_deposit_rejects_a_strided_target():
     # a reshaped copy would take the deposit and drop it silently
     pos, w, vec = _cloud(10)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.deposit(pos, w, X0, H, NODES, np.zeros((NODES,) * 3 + (2,))[..., 0])
+        kernels.deposit(_setup(pos), w, np.zeros((NODES,) * 3 + (2,))[..., 0])
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.deposit_vec(pos, w, vec, X0, H, NODES, np.zeros((NODES,) * 3 + (6,))[..., ::2])
+        kernels.deposit_vec(_setup(pos), w, vec, np.zeros((NODES,) * 3 + (6,))[..., ::2])
 
 
 def test_deposit_conserves_inbox_mass():
@@ -97,7 +134,7 @@ def test_deposit_conserves_inbox_mass():
     pos[:20] += 10.0  # park some particles far outside
     pos[20:25, 1] = np.nan  # a NaN position has escaped too
     out = np.zeros((NODES,) * 3)
-    inbox = kernels.deposit(pos, w, X0, H, NODES, out)
+    inbox = kernels.deposit(_setup(pos), w, out)
     expect = w[(np.abs(pos) <= L).all(axis=1)].sum()
     assert abs(inbox - expect) < 1e-12
     assert abs(out.sum() - inbox) < 1e-12
@@ -108,7 +145,7 @@ def test_deposit_partition_of_unity():
     pos = np.array([[0.137, -0.528, 1.002]])
     w = np.array([0.7])
     out = np.zeros((NODES,) * 3)
-    kernels.deposit(pos, w, X0, H, NODES, out)
+    kernels.deposit(_setup(pos), w, out)
     assert abs(out.sum() - 0.7) < 1e-15
     assert (out >= 0.0).all()
     assert np.count_nonzero(out) <= 8
@@ -118,7 +155,7 @@ def test_deposit_particle_on_node_hits_one_node():
     pos = np.array([[X0 + 3 * H, X0 + 5 * H, X0 + 2 * H]])
     w = np.array([1.25])
     out = np.zeros((NODES,) * 3)
-    kernels.deposit(pos, w, X0, H, NODES, out)
+    kernels.deposit(_setup(pos), w, out)
     assert out[3, 5, 2] == pytest.approx(1.25, abs=1e-14)
     assert np.count_nonzero(np.abs(out) > 1e-14) == 1
 
@@ -136,7 +173,7 @@ def test_edge_particles_are_kept():
     )
     w = np.ones(len(corners))
     out = np.zeros((NODES,) * 3)
-    inbox = kernels.deposit(corners, w, X0, H, NODES, out)
+    inbox = kernels.deposit(_setup(corners), w, out)
     assert inbox == pytest.approx(len(corners), abs=1e-12)
     assert out.sum() == pytest.approx(len(corners), abs=1e-12)
 
@@ -145,7 +182,7 @@ def test_gather_zero_outside_box():
     grid = RNG.standard_normal((NODES, NODES, NODES, 3))
     pos = np.array([[L + 0.5, 0.0, 0.0], [0.0, -L - 1e-6, 0.0], [0.0, np.nan, 0.0]])
     out = np.empty((3, 3))
-    kernels.gather_vec(grid, pos, X0, H, out)
+    kernels.gather_vec(grid, _setup(pos), out)
     assert (out == 0.0).all()
 
 
@@ -154,7 +191,7 @@ def test_gather_at_nodes_and_outside():
     ax = X0 + H * np.arange(NODES)
     pos = np.array([[ax[3], ax[7], ax[1]], [ax[0], ax[0], ax[0]], [L + 1.0, 0.0, 0.0]])
     out = np.empty((3, 3))
-    assert kernels.gather_vec(grid, pos, X0, H, out) is out
+    assert kernels.gather_vec(grid, _setup(pos), out) is out
     assert out.shape == (3, 3)
     assert np.allclose(out[0], grid[3, 7, 1], atol=1e-14)
     assert np.allclose(out[1], grid[0, 0, 0], atol=1e-14)
@@ -174,7 +211,7 @@ def test_gather_matches_trilinear_by_hand():
                 cw = (f[0] if dx else 1 - f[0]) * (f[1] if dy else 1 - f[1]) * (f[2] if dz else 1 - f[2])
                 expect += cw * grid[i[0] + dx, i[1] + dy, i[2] + dz]
     out = np.empty((1, 3))
-    kernels.gather_vec(grid, pos, X0, H, out)
+    kernels.gather_vec(grid, _setup(pos), out)
     assert np.allclose(out[0], expect, atol=1e-14)
 
 
@@ -183,9 +220,9 @@ def test_deposit_gather_adjoint():
     pos, w, _ = _cloud(400)
     grid = RNG.standard_normal((NODES, NODES, NODES, 3))
     rho = np.zeros((NODES,) * 3)
-    kernels.deposit(pos, w, X0, H, NODES, rho)
+    kernels.deposit(_setup(pos), w, rho)
     gathered = np.empty_like(pos)
-    kernels.gather_vec(grid, pos, X0, H, gathered)
+    kernels.gather_vec(grid, _setup(pos), gathered)
     lhs = float((rho[..., None] * grid).sum(axis=(0, 1, 2))[0])
     rhs = float((w[:, None] * gathered).sum(axis=0)[0])
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -200,7 +237,7 @@ def test_push_semantics_single_particle():
 
     def gathered(at):
         out = np.empty((1, 3))
-        kernels.gather_vec(egrid, at, X0, H, out)
+        kernels.gather_vec(egrid, _setup(at), out)
         return out[0]
 
     e1 = gathered(pos)

@@ -112,10 +112,14 @@ def test_velocity_reversal_retraces_the_path():
 def test_midstep_outputs_feed_current_deposit():
     ens = _single([0.1, 0.2, -0.1], [0.5, -0.25, 0.0])
     zero = _constant_field([0.0, 0.0, 0.0])
-    xmid, vmid = pusher.step(ens, zero, 0.1)
+    xmid, vmid, cic = pusher.step(ens, zero, 0.1)
     # free streaming: midpoint is the half-step drift at constant velocity
     assert np.allclose(xmid[0], [0.125, 0.1875, -0.1], atol=1e-14)
     assert np.allclose(vmid[0], [0.5, -0.25, 0.0], atol=1e-14)
+    # the returned slot holds the CIC setup of the drifted position
+    (setup,) = cic
+    s = (ens.positions[0] - GRID.origin) / GRID.spacing
+    assert np.array_equal(setup[2][0], s - np.floor(s))
 
 
 def test_stability_advisories():
