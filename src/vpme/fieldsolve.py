@@ -13,11 +13,11 @@ the solution, so it is solved for as one more Newton unknown beside the
 interior values. The centroid is refreshed at the head of each Newton step
 but not differentiated, so Newton converges linearly.
 
-The linear solve is a type-1 DST diagonalization (exact for this stencil,
-defect-corrected if rounding ever leaves a residual above contract). The
-nonlinear solve is damped Newton; the scalar mass unknown is eliminated by a
-Schur complement, whose border column A^-1 dF/dmu is solved once per call, at
-the first step. Each later step is then one conjugate-gradient solve on
+The linear solve is a type-1 DST diagonalization, exact for this stencil and
+checked once against the contract residual. The nonlinear solve is damped
+Newton; the scalar mass unknown is eliminated by a Schur complement, whose
+border column A^-1 dF/dmu is solved once per call, at the first step. Each
+later step is then one conjugate-gradient solve on
 A = -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the DST
 inverse of M = -eps^2 Lap + mean(w); the ion part uses the same shifted DST
 solve with shift 0. That inverse is exact, so for z = M^-1 r the product
@@ -310,17 +310,13 @@ def solve_ubar(rho, epsilon):
     bc = _monopole_values(grid, mass, center, eps2)
     rhs = -rho.values[1:-1, 1:-1, 1:-1] / eps2
     _fold_boundary(rhs, bc, h)
-    m = rhs.shape[0]
-    u = _assemble(-_shifted_lap_inverse(m, h, 1.0, 0.0)(rhs), bc)
+    u = _assemble(-_shifted_lap_inverse(rhs.shape[0], h, 1.0, 0.0)(rhs), bc)
 
     scale = max(math.sqrt(float(np.vdot(rho.values, rho.values))), 1e-300)
-    for check in range(3):
-        defect = eps2 * _lap_interior(u, h) + rho.values[1:-1, 1:-1, 1:-1]
-        rel = math.sqrt(float(np.vdot(defect, defect))) / scale
-        if rel <= CONTRACT_RTOL:
-            return ScalarField(grid, u)
-        if check < 2:
-            u[1:-1, 1:-1, 1:-1] += _shifted_lap_inverse(m, h, eps2, 0.0)(defect)
+    defect = eps2 * _lap_interior(u, h) + rho.values[1:-1, 1:-1, 1:-1]
+    rel = math.sqrt(float(np.vdot(defect, defect))) / scale
+    if rel <= CONTRACT_RTOL:
+        return ScalarField(grid, u)
     raise FieldSolveError(
         f"ion potential solve stalled at relative residual {rel:.3e}", residual=rel
     )

@@ -14,8 +14,7 @@ weight (wx*wy)*wz (a deposit adds w*weight). A NaN position is out of the box.
 
 The kernels address the C-ordered node array through one flat index. One
 CIC setup, `cic_setup`, serves every kernel that reads or writes at the same
-positions: the in-box mask (`slice(None)` when every particle is in the box,
-so that no kernel copies), each in-box particle's base node
+positions: the boolean in-box mask, each in-box particle's base node
 (ix*N + iy)*N + iz and its (n, 3) fractions. `corners` turns the
 fractions into the eight (flat offset, weight) pairs. Deposits scatter with
 np.add.at on the flattened array (one strided component view at a time for
@@ -49,18 +48,14 @@ BACKEND = "numpy"
 def cic_setup(pos, x0, h, nodes):
     """CIC setup of ``pos``: (in-box mask, flat base node index, (n, 3) fractions).
 
-    The mask is ``slice(None)`` when every particle is in the box. One buffer
-    is scaled, compressed to the in-box rows when some are out, clipped and
-    reduced to the fractions in place.
+    One buffer is scaled, compressed to the in-box rows, clipped and reduced
+    to the fractions in place.
     """
     s = pos - x0
     s /= h
     ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
     inbox = ok[:, 0] & ok[:, 1] & ok[:, 2]
-    if inbox.all():
-        inbox = slice(None)
-    else:
-        s = s.compress(inbox, axis=0)
+    s = s.compress(inbox, axis=0)
     np.clip(s, 0.0, nodes - 1.0, out=s)
     idx = s.astype(np.int64)
     np.minimum(idx, nodes - 2, out=idx)

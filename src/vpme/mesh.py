@@ -140,7 +140,7 @@ def evaluate_g(profile, grid):
     return ScalarField(grid, vals / raw_mass)
 
 
-def _ball_cell_average(profile, grid, sub=16):
+def _ball_cell_average(profile, grid):
     center = np.asarray(profile.center)
     radius = profile.scale
     peak = 3.0 / (4.0 * math.pi * radius**3)
@@ -150,8 +150,7 @@ def _ball_cell_average(profile, grid, sub=16):
     vals = np.where(dist <= radius - half_diag, peak, 0.0)
     cut = np.argwhere(np.abs(dist - radius) < half_diag)
     if cut.size:
-        step = h / sub
-        offs = (np.arange(sub) + 0.5) * step - 0.5 * h
+        offs = (np.arange(16) + 0.5) * (h / 16) - 0.5 * h
         ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
         cloud = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
         ax = grid.axis()
@@ -187,13 +186,11 @@ def gradient(field, h=None):
     return out
 
 
-def divergence(field, h=None):
-    values = field.values if isinstance(field, VectorField) else field
-    if h is None:
-        h = field.grid.spacing
-    out = np.zeros(values.shape[:3])
+def divergence(field):
+    h = field.grid.spacing
+    out = np.zeros(field.values.shape[:3])
     for d in range(3):
-        out += _diff_axis(values[..., d], h, d)
+        out += _diff_axis(field.values[..., d], h, d)
     return out
 
 

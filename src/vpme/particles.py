@@ -7,7 +7,7 @@ above, by the triangle inequality applied to each kick).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,9 +59,9 @@ class ParticleEnsemble:
     positions: np.ndarray
     velocities: np.ndarray
     weights: np.ndarray
-    initial_velocities: np.ndarray = None
-    field_integral: np.ndarray = None
-    escaped_mass: float = 0.0
+    initial_velocities: np.ndarray = field(init=False)
+    field_integral: np.ndarray = field(init=False)
+    escaped_mass: float = field(init=False)
 
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=float)
@@ -76,14 +76,9 @@ class ParticleEnsemble:
             raise ValueError("weights must be (n,)")
         if not (self.weights > 0.0).all():
             raise ValueError("particle weights must all be positive")
-        if self.initial_velocities is None:
-            self.initial_velocities = self.velocities.copy()
-        else:
-            self.initial_velocities = np.ascontiguousarray(self.initial_velocities, dtype=float)
-        if self.field_integral is None:
-            self.field_integral = np.zeros(n)
-        else:
-            self.field_integral = np.ascontiguousarray(self.field_integral, dtype=float)
+        self.initial_velocities = self.velocities.copy()
+        self.field_integral = np.zeros(n)
+        self.escaped_mass = 0.0
 
     @property
     def count(self):

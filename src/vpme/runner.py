@@ -185,7 +185,10 @@ def run(cfg, out_dir, seed=None):
 
 
 def sweep(cfg, epsilons, out_dir):
-    """Run the scenario once per epsilon (same seed); failures are recorded.
+    """Run the scenario once per epsilon (same seed); a member's abort is recorded.
+
+    The two aborts, EscapedMassError and FieldSolveError, mark the member
+    failed and the sweep goes on; any other error propagates.
 
     Every epsilon is validated before any member runs, so a bad value, or
     two values that would share a member directory, raises ConfigError and
@@ -205,7 +208,7 @@ def sweep(cfg, epsilons, out_dir):
         entry = {"epsilon": eps, "dir": member_dir, "status": "ok", "error": None}
         try:
             run(member_cfg, out / member_dir)
-        except (EscapedMassError, fieldsolve.FieldSolveError, ValueError) as exc:
+        except (EscapedMassError, fieldsolve.FieldSolveError) as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)
         entries.append(entry)

@@ -58,14 +58,14 @@ def check_moment_bound(series, k, column):
     }
 
 
-def check_q_order(series, tol=Q_ORDER_TOL):
-    """Audit q_star <= q_tt + tol at every checkpoint."""
+def check_q_order(series):
+    """Audit q_star <= q_tt + Q_ORDER_TOL at every checkpoint."""
     _require(series, "q_star", "q_tt")
     excess = float((series["q_star"] - series["q_tt"]).max())
     return {
         "max_excess": excess,
-        "tolerance": tol,
-        "verdict": "pass" if excess <= tol else "fail",
+        "tolerance": Q_ORDER_TOL,
+        "verdict": "pass" if excess <= Q_ORDER_TOL else "fail",
     }
 
 

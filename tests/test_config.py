@@ -97,12 +97,22 @@ def test_cold_lattice_canonical_round_trip(tmp_path):
         (("seed = 7", "seed = 7\nmax_escaped_frac = 2.0"), "max_escaped_frac"),
         (("r = 4.0", "r = 2.5"), "exceed 3"),
         (("dt = 0.01", "dt = -0.01"), "dt must be positive"),
+        (("count = 500", "count = 500\ndrift = nan 0 0"), "drift must be 3 finite"),
+        (("count = 500", "count = 500\nprofile_center = 0 zero 0"), "could not convert"),
+        (("[background]\nprofile = gaussian", "[background]\nprofile = cube"), "profile kind"),
     ],
 )
 def test_load_config_rejects(tmp_path, mangle, message):
     broken = GOOD_INI.replace(*mangle)
     with pytest.raises(ConfigError, match=message):
         load_config(_write(tmp_path, broken))
+
+
+def test_save_fields_round_trips_through_the_canonical_text(tmp_path):
+    cfg = small_scenario(save_fields=True)
+    echoed = load_config(_write(tmp_path, cfg.canonical_text()))
+    assert echoed.save_fields is True
+    assert echoed == cfg
 
 
 def test_load_config_missing_and_malformed_files(tmp_path):
@@ -246,6 +256,42 @@ def test_cli_sweep_and_report(tmp_path):
 
     assert cli.main(["plot-data", "--path", str(out)]) == 0
     assert (out / "plots" / "q_vs_inv_eps2.tsv").exists()
+
+
+def test_sweep_needs_an_epsilon(tmp_path):
+    with pytest.raises(ValueError, match="at least one epsilon"):
+        runner.sweep(small_scenario(), [], tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_records_a_solver_abort_and_verify_skips_the_member(tmp_path, monkeypatch):
+    solve = runner.fieldsolve.solve_field
+
+    def fail_below_09(rho, g, epsilon, **kwargs):
+        if epsilon < 0.9:
+            raise fieldsolve.FieldSolveError(f"forced failure at eps {epsilon}")
+        return solve(rho, g, epsilon, **kwargs)
+
+    monkeypatch.setattr(runner.fieldsolve, "solve_field", fail_below_09)
+    out = tmp_path / "sweep"
+    index = json.loads(runner.sweep(small_scenario(count=800), [1.0, 0.8], out).read_text())
+    assert [e["status"] for e in index["runs"]] == ["ok", "failed"]
+    assert index["runs"][1]["error"] == "forced failure at eps 0.8"
+    report = runner.verify_path(out)
+    assert [m["epsilon"] for m in report["members"]] == [1.0]
+    assert report["skipped"] == [{"dir": "eps_0.8", "error": "forced failure at eps 0.8"}]
+
+
+def test_cli_sweep_fails_on_a_scenario_error(tmp_path, capsys):
+    # every member would fail the same way, so the sweep must not report success
+    far = SpatialProfile(kind="uniform_ball", scale=0.5, center=(50.0, 0.0, 0.0))
+    cfg = small_scenario(count=800, g_profile=far)
+    ini = _write(tmp_path, cfg.canonical_text(), name="empty_background.ini")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(ini), "--epsilon", "1.0,0.8", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_USAGE
+    assert "background profile has no mass on the grid" in capsys.readouterr().err
+    assert not (out / runner.SWEEP_INDEX_NAME).exists()
 
 
 def test_plot_data_parses_each_sweep_member_once(tmp_path, monkeypatch):

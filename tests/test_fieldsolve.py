@@ -483,6 +483,29 @@ def test_zero_contract_makes_the_ion_solve_stall(monkeypatch):
     assert info.value.residual > 0.0
 
 
+def test_pcg_returns_zero_for_a_zero_right_hand_side():
+    b = np.zeros((6, 6, 6))
+    x, iterations = fs._pcg(np.ones_like(b), fs._shifted_lap_inverse(6, 0.5, 1.0, 1.0), b, 1e-2)
+    assert iterations == 0
+    assert (x == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "constant, value, message",
+    [
+        ("UHAT_POSITIVE_TOL", -1.0, "came out positive"),
+        ("GAUSS_GATE", 0.0, "Gauss-identity defect"),
+    ],
+)
+def test_broken_invariant_raises(monkeypatch, constant, value, message):
+    # the converged electron potential is negative and its Gauss defect is a
+    # few ulps, so only a tolerance moved past them trips either check
+    rho, g = _small_problem()
+    monkeypatch.setattr(fs, constant, value)
+    with pytest.raises(fs.FieldSolveError, match=message):
+        fs.solve_field(rho, g, 0.5)
+
+
 def test_cached_grid_arrays_are_read_only():
     grid = GridSpec(half_width=2.0, nodes=16)
     for arr in (fs._neg_lap_eigs(14, grid.spacing), fs._sine_matrix(14), fs._node_coords(grid)):

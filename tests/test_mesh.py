@@ -1,5 +1,6 @@
 """Grid geometry, background evaluation, transfer wrappers, stencils, snapshots."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -78,6 +79,13 @@ def test_evaluate_g_ball_cell_average():
     assert (inside_frac > 0.0).all() and (inside_frac < 1.0).all()
 
 
+def test_evaluate_g_rejects_a_profile_with_no_mass_on_the_grid():
+    g = GridSpec(half_width=2.0, nodes=16)
+    far = SpatialProfile(kind="uniform_ball", scale=0.5, center=(50.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="no mass on the grid"):
+        mesh.evaluate_g(far, g)
+
+
 def test_deposit_density_tracks_escaped_mass():
     g = GridSpec(half_width=2.0, nodes=12)
     pos = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [5.0, 0.0, 0.0]])
@@ -135,3 +143,17 @@ def test_snapshot_rejects_bad_magic_and_truncation(tmp_path):
     short.write_bytes(raw[: len(raw) - 17])
     with pytest.raises(ValueError, match="truncated"):
         mesh.read_field(short)
+
+
+def test_snapshot_rejects_inconsistent_header_spacing(tmp_path):
+    g = GridSpec(half_width=2.0, nodes=9)
+    path = tmp_path / "u.field"
+    mesh.write_field(path, "u", ScalarField(g, np.ones((9, 9, 9))))
+    raw = bytearray(path.read_bytes())
+    # magic, name length, name "u", nodes, half_width, then the spacing
+    at = len(mesh.SNAPSHOT_MAGIC) + 4 + 1 + 4 + 8
+    assert struct.unpack_from("<d", raw, at)[0] == g.spacing
+    struct.pack_into("<d", raw, at, 2.0 * g.spacing)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="header spacing"):
+        mesh.read_field(path)

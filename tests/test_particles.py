@@ -67,6 +67,42 @@ def test_ensemble_validation():
     assert (ens.field_integral == 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ParticleEnsemble(
+                positions=np.zeros((0, 3)), velocities=np.zeros((0, 3)), weights=np.ones(0)
+            ),
+            "at least one particle",
+        ),
+        (
+            lambda: ParticleEnsemble(
+                positions=np.zeros((4, 3)), velocities=np.zeros((4, 3)), weights=np.ones(3)
+            ),
+            "weights must be \\(n,\\)",
+        ),
+        (
+            lambda: particles.sample_initial(InitialDistributionSpec(kind="cold_lattice"), 10, 0),
+            "use node_lattice",
+        ),
+        (
+            lambda: particles.sample_initial(
+                InitialDistributionSpec(kind="maxwellian", spatial=PROF), 0, 0
+            ),
+            "at least 1",
+        ),
+        (
+            lambda: particles.node_lattice(mesh.ScalarField(GridSpec(2.0, 8), np.zeros((8, 8, 8)))),
+            "identically zero",
+        ),
+    ],
+)
+def test_ensemble_and_sampler_reject_empty_or_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # --------------------------------------------------------------------------
 # velocity diagnostics
 # --------------------------------------------------------------------------
