@@ -8,16 +8,18 @@ The potential is split as U = Ubar + Uhat:
 Both pieces use the 7-point Laplacian with Dirichlet data closed by a
 monopole tail: +M/(4 pi eps^2 r) for the ion part and -mhat/(4 pi eps^2 r)
 for the electron part, where M and mhat are the respective source masses and
-r is the distance to the source centroid. The electron mass mhat depends on
-the solution, so it is solved for as one more Newton unknown beside the
-interior values. The centroid is refreshed at the head of each Newton step
-but not differentiated, so Newton converges linearly.
+r is the distance to the source centroid. The electron mass mhat and the
+electron centroid depend on the solution, so they are solved for as four
+more Newton unknowns beside the interior values, and Newton converges
+superlinearly up to its inexact linear solves (Knoll & Keyes, J. Comput.
+Phys. 193, 2004: every unknown the residual depends on is in the Jacobian).
 
 The linear solve is a type-1 DST diagonalization, exact for this stencil and
 checked once against the contract residual. The nonlinear solve is damped
-Newton; the scalar mass unknown is eliminated by a Schur complement, whose
-border column A^-1 dF/dmu is solved once per call, at the first step. Each
-later step is then one conjugate-gradient solve on
+Newton; the four scalar unknowns are eliminated by a Schur complement, whose
+border columns A^-1 [dF/dmu, dF/dc] are solved at the first step of a cold
+solve and carried by the returned FieldSolution to the next, warm-started
+solve. Each Newton step is then one conjugate-gradient solve on
 A = -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the DST
 inverse of M = -eps^2 Lap + mean(w); the ion part uses the same shifted DST
 solve with shift 0. That inverse is exact, so for z = M^-1 r the product
@@ -26,10 +28,13 @@ from it (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981): the CG loop only
 applies M^-1 and multiplies by the diagonal d = w - mean(w).
 
 One evaluator gives the state of an electron iterate: it puts the boundary
-row -mu K around the interior values and returns the grid, the source
-g exp(Ubar + Uhat) and the residuals F = eps^2 Lap_h Uhat - source and
-G = vol sum(source) - mu. The Newton loop head and every line-search trial
-call it, and the loop leaves through one positivity check and one return.
+row -mu K(c) around the interior values and returns the grid, the source
+g exp(Ubar + Uhat), the residuals F = eps^2 Lap_h Uhat - source,
+G = vol sum(source) - mu and H = c sum(source) - sum(source x), and the
+line-search merit. The start and every line-search trial call it; the
+accepted trial's state is the next Newton step's state, so a step evaluates
+the full grid once. K and dK/dc live on a cached list of the face nodes.
+The loop leaves through one positivity check and one return.
 
 The 3-D DST-I (``dstn``) is applied as three BLAS matrix products with one
 cached dense orthonormal sine matrix per interior size m, not by FFT: the
@@ -43,6 +48,7 @@ defect) stays below the 1e-8 * mass audit gate.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,12 +56,16 @@ from .mesh import ScalarField, VectorField, gradient
 
 CONTRACT_RTOL = 1e-10
 NEWTON_TARGET_RTOL = 1e-13
-# inexact-Newton forcing term. The centroid is refreshed at the loop head and
-# not differentiated, so Newton contracts only linearly: about 0.05 per step
-# at eps 0.1 and 3e-3 at eps 0.5. A linear solve tighter than the step can
-# gain is wasted, which is why the forcing term is 1e-2: it keeps the Newton
-# step count of 1e-4, while 1e-1 doubles it at eps 0.1
-NEWTON_CG_RTOL = 1e-2
+# inexact-Newton forcing term, also the tolerance of the mass border column.
+# With the centroid among the unknowns Newton contracts superlinearly, so the
+# step is limited by the linear solve: on the quasi-neutral workload shape
+# (32^3, eps 0.1) warm solves take 4 Newton steps and about 18 CG iterations
+# at 1e-3, against 5 at 1e-2; 1e-4 saves no step
+NEWTON_CG_RTOL = 1e-3
+# the three centroid border columns only steer c: solving them to 1e-2
+# leaves every Newton step count on the workload shapes unchanged and saves
+# a CG iteration each in the cold solve
+CENTROID_COLUMN_RTOL = 1e-2
 UHAT_POSITIVE_TOL = 1e-8
 GAUSS_GATE = 1e-8
 COLD_START_EPS = 0.2
@@ -81,6 +91,8 @@ class UhatResult:
     residual: float
     history: list = field(default_factory=list)
     cg_iterations: int = 0
+    # A^-1 [dF/dmu, dF/dc / mu] as a float32 (4, m, m, m) array; None if never solved
+    border_columns: np.ndarray = None
 
 
 @dataclass
@@ -95,6 +107,8 @@ class FieldSolution:
     gauss_imbalance: float
     newton_history: list = field(default_factory=list)
     cg_iterations: int = 0
+    # the electron solve's border columns, reused by a solve warm-started from this one
+    border_columns: np.ndarray = None
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +206,61 @@ def _fold_boundary(rhs, bc, h):
 
 
 @lru_cache(maxsize=8)
-def _node_coords(grid):
-    """(N, N, N, 3) node positions of ``grid`` (read-only)."""
-    out = grid.node_coords()
-    out.flags.writeable = False
+def _face_nodes(grid):
+    """Flat indices (nb,) of the nodes on the faces of ``grid`` and the rows (1, x, y, z) (4, nb).
+
+    Both are read-only.
+    """
+    n = grid.nodes
+    on_face = np.ones((n, n, n), dtype=bool)
+    on_face[1:-1, 1:-1, 1:-1] = False
+    index = np.flatnonzero(on_face)
+    ax = grid.axis()
+    rows = np.stack([np.ones(index.size)] + [ax[i] for i in np.unravel_index(index, on_face.shape)])
+    index.flags.writeable = False
+    rows.flags.writeable = False
+    return index, rows
+
+
+def _face_kernel(grid, center, eps2):
+    """Rows (K, dK/dc) on the face nodes, (4, nb).
+
+    K = 1/(4 pi eps2 r) and dK/dc = (x - c)/(4 pi eps2 r^3), with r = |x - c|
+    clamped at h/2, where dK/dc is zero.
+    """
+    out = _face_nodes(grid)[1] - np.concatenate(([0.0], center))[:, None]
+    diff = out[1:]
+    r = np.sqrt(diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2)
+    clamped = r < 0.5 * grid.spacing
+    r[clamped] = 0.5 * grid.spacing
+    out[0] = 1.0 / (4.0 * math.pi * eps2 * r)
+    diff *= out[0] / r**2
+    diff[:, clamped] = 0.0
     return out
 
 
-_FACES = (
-    np.s_[0, :, :],
-    np.s_[-1, :, :],
-    np.s_[:, 0, :],
-    np.s_[:, -1, :],
-    np.s_[:, :, 0],
-    np.s_[:, :, -1],
-)
+def _on_faces(grid, face_values):
+    """Full-grid array holding ``face_values`` on the face nodes, zero inside."""
+    out = np.zeros((grid.nodes,) * 3)
+    out.reshape(-1)[_face_nodes(grid)[0]] = face_values
+    return out
 
 
 def _monopole_values(grid, charge, center, eps2):
     """charge/(4 pi eps2 r) on the boundary faces (interior left zero)."""
-    coords = _node_coords(grid)
-    out = np.zeros((grid.nodes,) * 3)
-    c = np.asarray(center)
-    for face in _FACES:
-        r = np.linalg.norm(coords[face] - c, axis=-1)
-        np.maximum(r, 0.5 * grid.spacing, out=r)
-        out[face] = charge / (4.0 * math.pi * eps2 * r)
-    return out
+    return _on_faces(grid, charge * _face_kernel(grid, center, eps2)[0])
+
+
+def _moments(values, ax):
+    """(sum(v), sum(v x), sum(v y), sum(v z)) of a cube of node values at ``ax`` on every axis.
+
+    One matrix product contracts the last axis against (1, ax); the other
+    two axes are summed on the (n, n) results.
+    """
+    n = ax.size
+    t = values.reshape(n * n, n) @ np.stack((np.ones(n), ax), axis=1)
+    plane = t[:, 0].reshape(n, n)
+    return np.array([plane.sum(), plane.sum(axis=1) @ ax, plane.sum(axis=0) @ ax, t[:, 1].sum()])
 
 
 def _centroid(values, grid):
@@ -226,9 +268,7 @@ def _centroid(values, grid):
     total = float(values.sum())
     if total <= 0.0:
         return np.zeros(3)
-    ax = grid.axis()
-    planes = (values.sum(axis=(1, 2)), values.sum(axis=(0, 2)), values.sum(axis=(0, 1)))
-    return np.array([float(s @ ax) for s in planes]) / total
+    return _moments(values, grid.axis())[1:] / total
 
 
 def _assemble(interior, bc):
@@ -344,29 +384,41 @@ def _quasi_neutral_guess(ubar, g, eps2, h):
     return np.minimum(0.0, np.log(ratio) - ubar.values)
 
 
-def solve_uhat(ubar, g, epsilon, initial=None):
+# the Newton unknowns beside the interior Uhat, in border-column order
+_BORDER_UNKNOWNS = ("mu", "c_x", "c_y", "c_z")
+
+
+def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     """Damped-Newton solve of eps^2 Lap Uhat = g exp(Ubar + Uhat).
 
-    ``initial`` warm-starts the iteration (full-grid array or ScalarField).
-    Cold starts below eps = 0.2 begin from the quasi-neutral screening
-    guess instead of zero.
+    ``initial`` warm-starts the iteration (full-grid array or ScalarField)
+    and ``border_columns`` reuses those of an earlier solve on the same
+    grid (``UhatResult.border_columns``). Cold starts below eps = 0.2 begin
+    from the quasi-neutral screening guess instead of zero.
 
-    The monopole boundary row -mu K, K = 1/(4 pi eps^2 r), depends on the
-    electron mass, which depends on the solution, so the scalar mu is a
-    Newton unknown beside the interior Uhat, with the mass residual
-    G = vol sum(g e^U) - mu. The mass responds to mu with a gain of order
-    1/eps^2, which an update of mu outside the Newton loop cannot settle to
-    round-off at small eps. Each step eliminates mu by a Schur complement,
-    so its linear solves are the interior CG: one for the residual, plus,
-    at the first step only, one for the border column, which the later
-    steps reuse. The centroid in r is refreshed at the head of each step
-    and not differentiated, so the contraction is linear.
+    The monopole boundary row -mu K(c), K = 1/(4 pi eps^2 |x - c|), depends
+    on the electron mass mu and on the centroid c of g e^U, and both depend
+    on the solution. So mu and the three components of c are Newton
+    unknowns beside the interior Uhat, with the mass residual
+    G = vol sum(g e^U) - mu and the centroid residual H = c S - sum(g e^U x),
+    S = sum(g e^U). The mass responds to mu with a gain of order 1/eps^2,
+    which an update outside the Newton loop cannot settle to round-off at
+    small eps, and a centroid refreshed outside it makes Newton converge
+    only linearly. Each step eliminates the four scalars by a 4x4 Schur
+    complement. Its border columns A^-1 [dF/dmu, dF/dc] are solved at the
+    first step of a call given none, and reused by the later steps and by
+    the next call, so a step is one interior CG solve for the residual. The
+    line search moves the interior, mu and c together on the merit
+    max(|F|_inf, |G|, vol |H|_inf); the accepted trial's state is the next
+    step's state. The iteration stops once |F|_inf meets its target,
+    |G| <= MASS_RTOL max(1, vol S) and |H|_inf <= MASS_RTOL S half_width.
 
     Each Newton step builds the shifted spectrum of M = -eps^2 Lap_h +
     mean(w) once. Its DST inverse is exact, so the CG needs only M^-1 and
     the diagonal d = w - mean(w): A p is kept by recurrence, not applied.
     A CG that fails raises FieldSolveError naming eps, the Newton step, the
-    CG iterations spent in this call and the reached relative residual.
+    solve (the residual or a border column), the CG iterations spent in
+    this call and the reached relative residual.
     """
     _check_epsilon(epsilon)
     grid = ubar.grid
@@ -374,6 +426,8 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     eps2 = epsilon**2
     vol = grid.cell_volume
     inner = np.s_[1:-1, 1:-1, 1:-1]
+    ax = grid.axis()
+    face_index, face_rows = _face_nodes(grid)
 
     if initial is None and epsilon < COLD_START_EPS:
         initial = _quasi_neutral_guess(ubar, g, eps2, h)
@@ -387,114 +441,156 @@ def solve_uhat(ubar, g, epsilon, initial=None):
     cg_total = 0
     accepted = 0
 
-    def _state(interior, mu, kern):
-        """Iterate with boundary row -mu K: (u, g e^(Ubar + u), F, G)."""
-        u = _assemble(interior, -mu * kern)
+    def _state(interior, mu, c):
+        """The iterate with boundary row -mu K(c), its source, residuals and merit."""
+        kd = _face_kernel(grid, c, eps2)
+        u = np.empty_like(ubv)
+        u[inner] = interior
+        u.reshape(-1)[face_index] = -mu * kd[0]
         # the exponent is evaluated as one sum: Ubar and Uhat cancel to O(1)
-        # in the screened bulk while each alone overflows exp at small eps
-        with np.errstate(over="ignore"):
-            src = g.values * np.exp(ubv + u)
-        f = eps2 * _lap_interior(u, h) - src[inner]
-        return u, src, f, float(src.sum()) * vol - mu
+        # in the screened bulk while each alone overflows exp at small eps.
+        # g e^U >= 0, so its sum is finite exactly when every node is
+        with np.errstate(over="ignore", invalid="ignore"):
+            src = ubv + u
+            np.exp(src, out=src)
+            src *= g.values
+            total = float(src.sum())
+            f = _lap_interior(u, h)
+            f *= eps2
+            f -= src[inner]
+            res = float(np.abs(f).max())
+            gap = total * vol - mu
+            hres = c * total - _moments(src, ax)[1:]
+        hinf = float(np.abs(hres).max())
+        merit = max(res, abs(gap), vol * hinf) if math.isfinite(total) else math.inf
+        return SimpleNamespace(
+            u=u, mu=mu, c=c, src=src, total=total, f=f, res=res, gap=gap, h=hres, hinf=hinf,
+            merit=merit, kd=kd,
+        )
 
-    with np.errstate(over="ignore"):
+    def _solve(d, minv, rhs, rtol, what):
+        nonlocal cg_total
+        try:
+            x, it = _pcg(d, minv, rhs, rtol)
+        except FieldSolveError as exc:
+            raise FieldSolveError(
+                f"{exc} [electron Newton step {accepted + 1} at eps {epsilon:g}, {what}, "
+                f"{cg_total + exc.iterations} CG iterations in this solve]",
+                residual=exc.residual,
+                iterations=exc.iterations,
+            ) from exc
+        cg_total += it
+        return x
+
+    with np.errstate(over="ignore", invalid="ignore"):
         src = g.values * np.exp(ubv + uh)
-    contract_tol = CONTRACT_RTOL * max(1.0, float(src.max()))
-    # the electron mass uses the same all-nodes sum as the ion mass so the
-    # two monopole closures cancel exactly at neutrality
-    mu = float(src.sum()) * vol
+        contract_tol = CONTRACT_RTOL * max(1.0, float(src.max()))
+        # the electron mass uses the same all-nodes sum as the ion mass so the
+        # two monopole closures cancel exactly at neutrality
+        state = _state(uh[inner], float(src.sum()) * vol, _centroid(src, grid))
+    # a trial is accepted only at a finite merit, so only the start can overflow
+    if not math.isfinite(state.total):
+        raise FieldSolveError(
+            "electron density overflowed during Newton iteration; "
+            "retry from a warm start near the solution"
+        )
     prev_res = math.inf
-    # border column A^-1 dF/dmu of the first Newton step, reused by the rest
-    z2 = None
 
     while True:
-        # boundary row per unit electron mass, K = 1/(4 pi eps^2 r); a start
-        # that overflows gives a NaN centroid, so its source fails the check
-        with np.errstate(invalid="ignore"):
-            kern = _monopole_values(grid, 1.0, _centroid(src, grid), eps2)
-            uh, src, f, gap = _state(uh[inner], mu, kern)
-        if not np.isfinite(src).all():
-            raise FieldSolveError(
-                "electron density overflowed during Newton iteration; "
-                "retry from a warm start near the solution",
-                residual=history[-1] if history else None,
-            )
-        res = float(np.abs(f).max())
+        mu, c, src, res = state.mu, state.c, state.src, state.res
         history.append(res)
         target = NEWTON_TARGET_RTOL * max(1.0, float(src.max()))
         at_floor = res >= 0.5 * prev_res and res <= 100.0 * target
-        mass_ok = abs(gap) <= MASS_RTOL * max(1.0, mu + gap)
-        if mass_ok and (res <= target or at_floor):
+        scalars_ok = (
+            abs(state.gap) <= MASS_RTOL * max(1.0, state.total * vol)
+            and state.hinf <= MASS_RTOL * state.total * grid.half_width
+        )
+        if scalars_ok and (res <= target or at_floor):
             break
+        imbalance = f"mass imbalance {state.gap:.3e}, centroid residual {state.hinf:.3e}"
         if accepted >= MAX_NEWTON:
             raise FieldSolveError(
                 f"electron Newton did not converge in {MAX_NEWTON} iterations "
-                f"(residual {res:.3e}, mass imbalance {gap:.3e}); "
+                f"(residual {res:.3e}, {imbalance}); "
                 "retry from a warm start near the solution",
                 residual=res,
             )
         prev_res = res
 
-        # Newton system [[-A, c], [vol w^T, dG/dmu]] [du, dmu] = -[F, G] with
-        # A = -eps^2 Lap_h + diag(w) and c = dF/dmu, the boundary row folded
-        # onto the interior; eliminating dmu leaves the solves z1 = A^-1 F and
-        # z2 = A^-1 c, each preconditioned by the exact inverse of
-        # A - diag(w - mean(w)). z2, the interior response to a unit change
-        # of mu, is solved at the first step only: with the centroid lagged,
-        # reusing it left the Newton step counts unchanged
+        # Newton system [[-A, B], [C^T, D]] [du, s] = -[F, (G, H)] for the
+        # interior du and s = (dmu, dc), with A = -eps^2 Lap_h + diag(w),
+        # B = [dF/dmu, dF/dc] the boundary row's derivatives folded onto the
+        # interior, C^T the interior derivatives of (G, H) and D their
+        # derivatives in (mu, c). Eliminating s leaves du = z + Z s with
+        # z = A^-1 F and Z = A^-1 B, each solved by CG preconditioned by the
+        # exact inverse of A - diag(w - mean(w)). dF/dc is mu times a face
+        # term, so Z keeps its c columns per unit mass; Z only steers the four
+        # scalars and is solved to 1e-3 or 1e-2, so float32 holds it
         w = src[inner]
         shift = float(w.mean())
         minv = _shifted_lap_inverse(w.shape[0], h, eps2, shift)
         d = w - shift
-        try:
-            z1, it = _pcg(d, minv, f, NEWTON_CG_RTOL)
-            cg_total += it
-            if z2 is None:
-                c = eps2 * _fold_boundary(np.zeros_like(f), kern, h)
-                z2, it = _pcg(d, minv, c, NEWTON_CG_RTOL)
-                cg_total += it
-        except FieldSolveError as exc:
-            raise FieldSolveError(
-                f"{exc} [electron Newton step {accepted + 1} at eps {epsilon:g}, "
-                f"{cg_total + exc.iterations} CG iterations in this solve]",
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
-        dgdmu = -1.0 - vol * float((src * kern).sum())
-        dmu = -(gap + vol * float(np.vdot(w, z1))) / (dgdmu + vol * float(np.vdot(w, z2)))
-        delta = z1 + dmu * z2
+        z = _solve(d, minv, state.f, NEWTON_CG_RTOL, "residual solve")
+        if border_columns is None:
+            border_columns = np.empty((4,) + w.shape, dtype=np.float32)
+            for k, name in enumerate(_BORDER_UNKNOWNS):
+                rhs = eps2 * _fold_boundary(np.zeros_like(w), _on_faces(grid, state.kd[k]), h)
+                rtol = CENTROID_COLUMN_RTOL if k else NEWTON_CG_RTOL
+                border_columns[k] = _solve(d, minv, rhs, rtol, f"border column {name}")
 
-        merit = max(res, abs(gap))
-        for k in range(31):
-            alpha = 0.5**k
-            mu_trial = mu + alpha * dmu
-            trial, trial_src, f_trial, gap_trial = _state(uh[inner] + alpha * delta, mu_trial, kern)
-            merit_trial = max(float(np.abs(f_trial).max()), abs(gap_trial))
-            if np.isfinite(trial_src).all() and merit_trial < merit:
-                uh, mu, src = trial, mu_trial, trial_src
+        # a source change with sum s0 and first moments s1 moves G by vol s0
+        # and H by c s0 - s1, so C^T v is that map of the moments of w v
+        lift = np.zeros((4, 4))
+        lift[0, 0] = vol
+        lift[1:, 0] = c
+        lift[1:, 1:] = -np.eye(3)
+        ax_in = ax[1:-1]
+        per_unit = np.array([1.0, mu, mu, mu])
+        # Schur complement D + C^T Z: C^T Z from the moments of w Z_k; in D
+        # the face sources move with du_b/ds = -(K, mu dK/dc), and dG/dmu and
+        # dH/dc hold the explicit terms -1 and S I
+        moments = np.column_stack([_moments(w * col, ax_in) for col in border_columns])
+        moments -= face_rows @ (src.reshape(-1)[face_index] * state.kd).T
+        schur = (lift @ moments) * per_unit
+        schur[0, 0] -= 1.0
+        schur[1:, 1:] += state.total * np.eye(3)
+        rhs = np.concatenate(([state.gap], state.h)) + lift @ _moments(w * z, ax_in)
+        step = np.linalg.solve(schur, -rhs)
+        delta = z
+        coefs = (step * per_unit).astype(np.float32)
+        delta += (coefs @ border_columns.reshape(4, -1)).reshape(z.shape)
+
+        alpha = 1.0
+        for _ in range(31):
+            trial = _state(state.u[inner] + delta, mu + alpha * step[0], c + alpha * step[1:])
+            if trial.merit < state.merit:
+                state = trial
                 accepted += 1
                 break
+            alpha *= 0.5
+            delta *= 0.5
         else:
-            if res <= contract_tol and mass_ok:
+            if res <= contract_tol and scalars_ok:
                 break
             raise FieldSolveError(
                 f"electron Newton line search stagnated at residual {res:.3e} "
-                f"(mass imbalance {gap:.3e}); retry from a warm start near the solution",
+                f"({imbalance}); retry from a warm start near the solution",
                 residual=res,
             )
 
-    worst = float(uh.max())
+    worst = float(state.u.max())
     if worst > UHAT_POSITIVE_TOL:
         raise FieldSolveError(
             f"electron potential came out positive (max {worst:.3e}); solver invariant broken",
             residual=res,
         )
     return UhatResult(
-        field=ScalarField(grid, uh),
+        field=ScalarField(grid, state.u),
         iterations=accepted,
         residual=res,
         history=history,
         cg_iterations=cg_total,
+        border_columns=border_columns,
     )
 
 
@@ -531,8 +627,12 @@ def gauss_imbalance(u, rho, g, epsilon):
     return float(flux - source)
 
 
-def solve_field(rho, g, epsilon, uhat_initial=None):
-    """Full potential/field solve for a deposited ion density."""
+def solve_field(rho, g, epsilon, warm=None):
+    """Full potential/field solve for a deposited ion density.
+
+    ``warm``, an earlier FieldSolution on the same grid, starts the electron
+    solve from its Uhat and its border columns.
+    """
     if rho.grid != g.grid:
         raise ValueError("ion density and background live on different grids")
     if float(rho.values.min()) < 0.0:
@@ -541,7 +641,12 @@ def solve_field(rho, g, epsilon, uhat_initial=None):
     if mass > 1.0 + 1e-9:
         raise ValueError(f"deposited ion mass {mass!r} exceeds 1 beyond tolerance")
     ubar = solve_ubar(rho, epsilon)
-    hat = solve_uhat(ubar, g, epsilon, initial=uhat_initial)
+    if warm is None:
+        hat = solve_uhat(ubar, g, epsilon)
+    else:
+        hat = solve_uhat(
+            ubar, g, epsilon, initial=warm.uhat, border_columns=warm.border_columns
+        )
     u = ScalarField(rho.grid, ubar.values + hat.field.values)
     gauss = gauss_imbalance(u, rho, g, epsilon)
     if abs(gauss) > GAUSS_GATE * max(1.0, mass):
@@ -560,6 +665,7 @@ def solve_field(rho, g, epsilon, uhat_initial=None):
         gauss_imbalance=gauss,
         newton_history=hat.history,
         cg_iterations=hat.cg_iterations,
+        border_columns=hat.border_columns,
     )
 
 

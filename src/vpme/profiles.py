@@ -59,13 +59,14 @@ class SpatialProfile:
             return 1.0 - inside
         if all(abs(c) + self.scale <= half_width for c in self.center):
             return 0.0
-        # midpoint quadrature over the ball's bounding box; only reached for
-        # balls poking out of the domain, which no shipped scenario uses
+        # midpoint quadrature over n^3 cells of the ball's bounding box; only
+        # reached for balls poking out of the domain, which no shipped
+        # scenario uses
         n = 64
-        ax = [np.linspace(c - self.scale, c + self.scale, n) for c in self.center]
-        xs, ys, zs = np.meshgrid(*ax, indexing="ij")
+        width = 2.0 * self.scale / n
+        mid = (np.arange(n) + 0.5) * width - self.scale
+        xs, ys, zs = np.meshgrid(*[c + mid for c in self.center], indexing="ij")
         pts = np.stack([xs, ys, zs], axis=-1).reshape(-1, 3)
         dens = self.density(pts)
         out = (np.abs(pts) > half_width).any(axis=1)
-        cell = (2.0 * self.scale / (n - 1)) ** 3
-        return float((dens * out).sum() * cell)
+        return float((dens * out).sum() * width**3)

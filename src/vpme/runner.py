@@ -7,7 +7,8 @@ directory and walk a sweep's members through one reader of its index.
 
 Loop shape: kick-drift-kick with the current field -> deposit rho -> solve
 the field, strictly in that order; the electron solve warm-starts from the
-previous step's correction. t = 0 is the deposit and solve without a push.
+previous step's solution, its correction and its Newton border columns.
+t = 0 is the deposit and solve without a push.
 Each deposit is followed by the escaped-mass gate. Each checkpoint (t = 0,
 every ``checkpoint_every`` steps and the last step) is one pass: the
 midpoint current gives the continuity residual, one
@@ -77,15 +78,8 @@ def run(cfg, out_dir, seed=None):
 
     ``seed`` overrides the configured one.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else int(seed)
     cfg = cfg.with_seed(seed)
-
-    snapshot_dir = None
-    if cfg.save_fields:
-        snapshot_dir = out / "snapshots"
-        snapshot_dir.mkdir(exist_ok=True)
 
     advisories = list(cfg.box_mass_warnings())
     with warnings.catch_warnings(record=True) as caught:
@@ -94,6 +88,14 @@ def run(cfg, out_dir, seed=None):
     advisories += [str(w.message) for w in caught]
 
     ens = _build_ensemble(cfg, g, seed)
+    # the directories are made only once the scenario has built, so a
+    # scenario error leaves nothing behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    snapshot_dir = None
+    if cfg.save_fields:
+        snapshot_dir = out / "snapshots"
+        snapshot_dir.mkdir(exist_ok=True)
     acc = diagnostics.DiagnosticsAccumulator(cfg.init.m1)
     gate = cfg.max_escaped_frac * ens.total_weight
     dt = cfg.time.dt
@@ -170,7 +172,7 @@ def run(cfg, out_dir, seed=None):
             pusher.step(ens, sol.e, dt, xmid, vmid, cic)
             rho_prev, rho = rho, _deposit(n)
             if selfconsistent:
-                sol = fieldsolve.solve_field(rho, g, cfg.epsilon, uhat_initial=sol.uhat)
+                sol = fieldsolve.solve_field(rho, g, cfg.epsilon, warm=sol)
             if n % cfg.time.checkpoint_every == 0 or n == steps:
                 j_mid = mesh.current_from_arrays(xmid, vmid, ens.weights, cfg.grid)
                 _checkpoint(n, diagnostics.continuity_residual(rho_prev, rho, j_mid, dt))

@@ -294,6 +294,17 @@ def test_cli_sweep_fails_on_a_scenario_error(tmp_path, capsys):
     assert not (out / runner.SWEEP_INDEX_NAME).exists()
 
 
+def test_cli_run_leaves_no_output_directory_on_a_scenario_error(tmp_path, capsys):
+    # the background is built before anything is written, snapshots included
+    far = SpatialProfile(kind="uniform_ball", scale=0.5, center=(50.0, 0.0, 0.0))
+    cfg = small_scenario(count=800, g_profile=far, save_fields=True)
+    ini = _write(tmp_path, cfg.canonical_text(), name="empty_background.ini")
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "background profile has no mass on the grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_data_parses_each_sweep_member_once(tmp_path, monkeypatch):
     out = tmp_path / "sweep"
     runner.run(small_scenario(time=TimeSpec(dt=0.01, t_end=0.02, checkpoint_every=1)), out / "eps_1")

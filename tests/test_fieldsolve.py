@@ -7,6 +7,7 @@ regressions.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -300,12 +301,32 @@ def test_quasi_neutral_run_at_eps_005_completes(tmp_path):
     assert (run.fields["uhat_max"] <= fs.UHAT_POSITIVE_TOL).all()
 
 
+def test_quasi_neutral_run_at_eps_001_completes(tmp_path):
+    # the quasi-neutral workload's shape at eps = 0.01: with the centroid
+    # lagged instead of solved for, Newton contracted only linearly and the
+    # run aborted at step 8 on the 500-iteration CG cap
+    cfg = make_scenario(
+        grid=GridSpec(half_width=4.0, nodes=32),
+        count=20_000,
+        epsilon=0.01,
+        time=TimeSpec(dt=0.005, t_end=10 * 0.005, checkpoint_every=1),
+    )
+    runner.run(cfg, tmp_path)
+    run = load_run(tmp_path)
+    assert run.meta["status"] == "ok"
+    assert len(run.series["t"]) == 11
+    scale = np.maximum(1.0, run.fields["geU_Linf"])
+    assert (run.series["residual_inf"] <= fs.CONTRACT_RTOL * scale).all()
+    assert (np.abs(run.series["gauss_imbalance"]) <= fs.GAUSS_GATE).all()
+    assert (run.fields["uhat_max"] <= fs.UHAT_POSITIVE_TOL).all()
+
+
 def test_warm_restart_from_solution_costs_no_newton_steps():
     grid = GridSpec(half_width=2.0, nodes=32)
     rho = ScalarField(grid, _background(grid, scale=0.9).values * 0.999)
     g = _background(grid)
     cold = fs.solve_field(rho, g, 0.05)
-    warm = fs.solve_field(rho, g, 0.05, uhat_initial=cold.uhat)
+    warm = fs.solve_field(rho, g, 0.05, warm=cold)
     assert warm.newton_iterations == 0
     # interior untouched; the boundary row is re-derived from the converged
     # mass and centroid, which agree only to rounding
@@ -322,8 +343,9 @@ def _screened_problem():
 
 
 def test_border_column_is_solved_once_per_call(monkeypatch):
-    # one CG per Newton step for the residual, plus one for the mass-border
-    # column at the first step only
+    # one CG per Newton step for the residual, plus one for each of the four
+    # border columns (mass and centroid) at the first step of a cold solve;
+    # a solve warm-started from a FieldSolution reuses its columns
     pcg = fs._pcg
     calls = []
 
@@ -336,11 +358,33 @@ def test_border_column_is_solved_once_per_call(monkeypatch):
         calls.clear()
         cold = fs.solve_field(*problem(), eps)
         assert cold.newton_iterations > 1
-        assert len(calls) == cold.newton_iterations + 1
+        assert len(calls) == cold.newton_iterations + 4
+    rho, g = _screened_problem()
     calls.clear()
-    warm = fs.solve_field(*_screened_problem(), 0.05, uhat_initial=cold.uhat)
+    moved = fs.solve_field(ScalarField(rho.grid, 0.99 * rho.values), g, 0.05, warm=cold)
+    assert moved.newton_iterations > 0
+    assert len(calls) == moved.newton_iterations
+    assert moved.border_columns is cold.border_columns
+    calls.clear()
+    warm = fs.solve_field(rho, g, 0.05, warm=cold)
     assert warm.newton_iterations == 0
     assert calls == []
+
+
+def test_warm_chain_reaches_the_cold_solutions():
+    # a moving ion cloud solved once cold per position and once as a chain
+    # of warm solves, each from the previous solution and its border columns
+    grid = GridSpec(half_width=2.0, nodes=32)
+    g = _background(grid)
+    for eps in (0.5, 0.05):
+        warm = None
+        for k in range(4):
+            center = (0.03 * k, -0.02 * k, 0.01 * k)
+            rho = ScalarField(grid, _background(grid, scale=0.9, center=center).values * 0.999)
+            cold = fs.solve_field(rho, g, eps)
+            warm = fs.solve_field(rho, g, eps, warm=warm)
+            scale = max(1.0, float(np.abs(cold.uhat.values).max()))
+            assert np.abs(warm.uhat.values - cold.uhat.values).max() <= 1e-12 * scale
 
 
 def test_forcing_term_changes_the_path_not_the_answer(monkeypatch):
@@ -429,8 +473,9 @@ def test_newton_step_cap_raises_did_not_converge(monkeypatch):
     rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
     monkeypatch.setattr(fs, "MAX_NEWTON", 1)
-    with pytest.raises(fs.FieldSolveError, match="did not converge in 1 iterations"):
+    with pytest.raises(fs.FieldSolveError, match="did not converge in 1 iterations") as info:
         fs.solve_uhat(ub, g, 0.5)
+    assert re.search(r"mass imbalance \S+, centroid residual \d\.\d{3}e[+-]\d+\)", str(info.value))
 
 
 def test_cg_cap_names_eps_newton_step_iterations_and_residual(monkeypatch):
@@ -448,6 +493,37 @@ def test_cg_cap_names_eps_newton_step_iterations_and_residual(monkeypatch):
     assert f"relative residual {info.value.residual:.3e}" in message
 
 
+@pytest.mark.parametrize(
+    "failing, solve",
+    [
+        (0, "residual solve"),
+        (1, "border column mu"),
+        (2, "border column c_x"),
+        (3, "border column c_y"),
+        (4, "border column c_z"),
+    ],
+)
+def test_cg_failure_names_the_failing_solve(monkeypatch, failing, solve):
+    # a cold solve's first Newton step runs the residual solve, then the
+    # border columns in the order mu, c_x, c_y, c_z
+    rho, g = _small_problem()
+    ub = fs.solve_ubar(rho, 0.5)
+    pcg = fs._pcg
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing + 1:
+            raise fs.FieldSolveError("forced CG failure", residual=0.5, iterations=7)
+        return pcg(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "_pcg", fail_once)
+    with pytest.raises(fs.FieldSolveError, match="forced CG failure") as info:
+        fs.solve_uhat(ub, g, 0.5)
+    assert f"[electron Newton step 1 at eps 0.5, {solve}, " in str(info.value)
+    assert info.value.iterations == 7
+
+
 def test_ascent_direction_raises_line_search_stagnated(monkeypatch):
     rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
@@ -458,8 +534,9 @@ def test_ascent_direction_raises_line_search_stagnated(monkeypatch):
         return -x, it
 
     monkeypatch.setattr(fs, "_pcg", negated)
-    with pytest.raises(fs.FieldSolveError, match="line search stagnated"):
+    with pytest.raises(fs.FieldSolveError, match="line search stagnated") as info:
         fs.solve_uhat(ub, g, 0.5)
+    assert re.search(r"mass imbalance \S+, centroid residual \d\.\d{3}e[+-]\d+\)", str(info.value))
 
 
 def test_unreachable_target_returns_through_the_contract_fallback(monkeypatch):
@@ -508,7 +585,7 @@ def test_broken_invariant_raises(monkeypatch, constant, value, message):
 
 def test_cached_grid_arrays_are_read_only():
     grid = GridSpec(half_width=2.0, nodes=16)
-    for arr in (fs._neg_lap_eigs(14, grid.spacing), fs._sine_matrix(14), fs._node_coords(grid)):
+    for arr in (fs._neg_lap_eigs(14, grid.spacing), fs._sine_matrix(14), *fs._face_nodes(grid)):
         assert not arr.flags.writeable
 
 
