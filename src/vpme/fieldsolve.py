@@ -16,10 +16,10 @@ Phys. 193, 2004: every unknown the residual depends on is in the Jacobian).
 
 The linear solve is a type-1 DST diagonalization, exact for this stencil and
 checked once against the contract residual. The nonlinear solve is damped
-Newton; the four scalar unknowns are eliminated by a Schur complement, whose
-border columns A^-1 [dF/dmu, dF/dc] are solved at the first step of a cold
-solve and carried by the returned FieldSolution to the next, warm-started
-solve. Each Newton step is then one conjugate-gradient solve on
+Newton, started cold from the screening guess log(rho/g) - Ubar; the four
+scalar unknowns are eliminated by a Schur complement, whose border columns
+A^-1 [dF/dmu, dF/dc] are solved at the first step of a cold solve and
+carried by the returned FieldSolution to the next, warm-started solve. Each Newton step is then one conjugate-gradient solve on
 A = -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the DST
 inverse of M = -eps^2 Lap + mean(w); the ion part uses the same shifted DST
 solve with shift 0. That inverse is exact, so for z = M^-1 r the product
@@ -68,7 +68,6 @@ NEWTON_CG_RTOL = 1e-3
 CENTROID_COLUMN_RTOL = 1e-2
 UHAT_POSITIVE_TOL = 1e-8
 GAUSS_GATE = 1e-8
-COLD_START_EPS = 0.2
 MASS_RTOL = 1e-12
 MAX_NEWTON = 200
 MAX_CG = 500
@@ -246,11 +245,6 @@ def _on_faces(grid, face_values):
     return out
 
 
-def _monopole_values(grid, charge, center, eps2):
-    """charge/(4 pi eps2 r) on the boundary faces (interior left zero)."""
-    return _on_faces(grid, charge * _face_kernel(grid, center, eps2)[0])
-
-
 def _moments(values, ax):
     """(sum(v), sum(v x), sum(v y), sum(v z)) of a cube of node values at ``ax`` on every axis.
 
@@ -269,12 +263,6 @@ def _centroid(values, grid):
     if total <= 0.0:
         return np.zeros(3)
     return _moments(values, grid.axis())[1:] / total
-
-
-def _assemble(interior, bc):
-    full = bc.copy()
-    full[1:-1, 1:-1, 1:-1] = interior
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +335,11 @@ def solve_ubar(rho, epsilon):
     eps2 = epsilon**2
     mass = float(rho.values.sum()) * grid.cell_volume
     center = _centroid(rho.values, grid)
-    bc = _monopole_values(grid, mass, center, eps2)
+    # the monopole mass/(4 pi eps^2 r) on the faces; the interior is written below
+    u = _on_faces(grid, mass * _face_kernel(grid, center, eps2)[0])
     rhs = -rho.values[1:-1, 1:-1, 1:-1] / eps2
-    _fold_boundary(rhs, bc, h)
-    u = _assemble(-_shifted_lap_inverse(rhs.shape[0], h, 1.0, 0.0)(rhs), bc)
+    _fold_boundary(rhs, u, h)
+    u[1:-1, 1:-1, 1:-1] = -_shifted_lap_inverse(rhs.shape[0], h, 1.0, 0.0)(rhs)
 
     scale = max(math.sqrt(float(np.vdot(rho.values, rho.values))), 1e-300)
     defect = eps2 * _lap_interior(u, h) + rho.values[1:-1, 1:-1, 1:-1]
@@ -391,10 +380,14 @@ _BORDER_UNKNOWNS = ("mu", "c_x", "c_y", "c_z")
 def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     """Damped-Newton solve of eps^2 Lap Uhat = g exp(Ubar + Uhat).
 
-    ``initial`` warm-starts the iteration (full-grid array or ScalarField)
-    and ``border_columns`` reuses those of an earlier solve on the same
-    grid (``UhatResult.border_columns``). Cold starts below eps = 0.2 begin
-    from the quasi-neutral screening guess instead of zero.
+    ``initial`` warm-starts the iteration (a full-grid array) and
+    ``border_columns`` reuses those of an earlier solve on the same grid
+    (``UhatResult.border_columns``). A cold start begins from the
+    quasi-neutral screening guess at every eps: on the workload shapes it
+    is never more than one Newton step behind a zero start, and from eps
+    0.3 down it saves 3 or more (6 against 17 at eps 0.15). A background
+    with no mass has no electrons, so Uhat = 0 is returned exactly, after
+    no iteration.
 
     The monopole boundary row -mu K(c), K = 1/(4 pi eps^2 |x - c|), depends
     on the electron mass mu and on the centroid c of g e^U, and both depend
@@ -422,19 +415,16 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     """
     _check_epsilon(epsilon)
     grid = ubar.grid
+    if not g.values.any():
+        # no electrons: Uhat = 0 is exact, and S = 0 leaves the centroid undefined
+        return UhatResult(ScalarField(grid, np.zeros((grid.nodes,) * 3)), 0, 0.0, [0.0])
     h = grid.spacing
     eps2 = epsilon**2
     vol = grid.cell_volume
     inner = np.s_[1:-1, 1:-1, 1:-1]
     ax = grid.axis()
     face_index, face_rows = _face_nodes(grid)
-
-    if initial is None and epsilon < COLD_START_EPS:
-        initial = _quasi_neutral_guess(ubar, g, eps2, h)
-    if initial is None:
-        uh = np.zeros((grid.nodes,) * 3)
-    else:
-        uh = np.array(initial.values if isinstance(initial, ScalarField) else initial)
+    uh = _quasi_neutral_guess(ubar, g, eps2, h) if initial is None else initial
 
     ubv = ubar.values
     history = []
@@ -484,7 +474,6 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
 
     with np.errstate(over="ignore", invalid="ignore"):
         src = g.values * np.exp(ubv + uh)
-        contract_tol = CONTRACT_RTOL * max(1.0, float(src.max()))
         # the electron mass uses the same all-nodes sum as the ion mass so the
         # two monopole closures cancel exactly at neutrality
         state = _state(uh[inner], float(src.sum()) * vol, _centroid(src, grid))
@@ -570,7 +559,7 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
             alpha *= 0.5
             delta *= 0.5
         else:
-            if res <= contract_tol and scalars_ok:
+            if res <= CONTRACT_RTOL * max(1.0, float(src.max())) and scalars_ok:
                 break
             raise FieldSolveError(
                 f"electron Newton line search stagnated at residual {res:.3e} "
@@ -645,7 +634,7 @@ def solve_field(rho, g, epsilon, warm=None):
         hat = solve_uhat(ubar, g, epsilon)
     else:
         hat = solve_uhat(
-            ubar, g, epsilon, initial=warm.uhat, border_columns=warm.border_columns
+            ubar, g, epsilon, initial=warm.uhat.values, border_columns=warm.border_columns
         )
     u = ScalarField(rho.grid, ubar.values + hat.field.values)
     gauss = gauss_imbalance(u, rho, g, epsilon)

@@ -30,6 +30,11 @@ def _background(grid, kind="gaussian", scale=1.0, center=(0.0, 0.0, 0.0)):
         return evaluate_g(SpatialProfile(kind=kind, scale=scale, center=center), grid)
 
 
+def _monopole(grid, charge, center, eps2):
+    """charge/(4 pi eps2 r) on the boundary faces, zero inside."""
+    return fs._on_faces(grid, charge * fs._face_kernel(grid, center, eps2)[0])
+
+
 # ---------------------------------------------------------------------------
 # ion part against closed forms
 # ---------------------------------------------------------------------------
@@ -108,13 +113,12 @@ def test_preconditioner_is_exact_shifted_inverse():
     eps2, shift = 0.36, 0.7
     x = fs._shifted_lap_inverse(14, h, eps2, shift)(rhs)
     # the CG keeps A p by recurrence on this identity: M M^-1 r = r
-    back = -eps2 * fs._lap_interior(fs._assemble(x, np.zeros((16,) * 3)), h) + shift * x
+    back = -eps2 * fs._lap_interior(np.pad(x, 1), h) + shift * x
     assert np.abs(back - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 
 def _stencil_pcg(eps2, w, h, minv, b, rtol):
     """Textbook PCG that applies A = -eps2 Lap_h + diag(w) by the stencil."""
-    zero = np.zeros((b.shape[0] + 2,) * 3)
     x = np.zeros_like(b)
     norm_b = math.sqrt(float(np.vdot(b, b)))
     r = b.copy()
@@ -122,7 +126,7 @@ def _stencil_pcg(eps2, w, h, minv, b, rtol):
     p = z.copy()
     rz = float(np.vdot(r, z))
     for it in range(1, fs.MAX_CG + 1):
-        ap = -eps2 * fs._lap_interior(fs._assemble(p, zero), h) + w * p
+        ap = -eps2 * fs._lap_interior(np.pad(p, 1), h) + w * p
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
@@ -167,10 +171,9 @@ def test_recurrence_pcg_meets_its_residual_on_a_stiff_diagonal():
     b = rng.standard_normal((m, m, m))
     shift = float(w.mean())
     minv = fs._shifted_lap_inverse(m, h, eps2, shift)
-    zero = np.zeros((m + 2,) * 3)
     for rtol in (1e-4, 1e-10):
         x, it = fs._pcg(w - shift, minv, b, rtol)
-        true_res = b + eps2 * fs._lap_interior(fs._assemble(x, zero), h) - w * x
+        true_res = b + eps2 * fs._lap_interior(np.pad(x, 1), h) - w * x
         assert it > 30
         assert np.linalg.norm(true_res) <= 1.1 * rtol * np.linalg.norm(b)
 
@@ -211,6 +214,21 @@ def test_zero_background_returns_zero_electron_potential():
     assert (hat.field.values == 0.0).all()
 
 
+def test_no_electrons_returns_zero_from_any_start():
+    # with g = 0 the electron mass S = sum(g e^U) is zero, which leaves the
+    # centroid unknowns undefined; a solve must not reach the Schur complement
+    grid = GridSpec(half_width=2.0, nodes=16)
+    g0 = ScalarField(grid, np.zeros((grid.nodes,) * 3))
+    ub = fs.solve_ubar(_background(grid, scale=0.5), 0.1)
+    start = np.full((grid.nodes,) * 3, -0.5)
+    for hat in (fs.solve_uhat(ub, g0, 0.1), fs.solve_uhat(ub, g0, 0.1, initial=start)):
+        assert hat.iterations == 0
+        assert (hat.field.values == 0.0).all()
+    sol = fs.solve_field(_background(grid, scale=0.5), g0, 0.1)
+    assert sol.newton_iterations == 0
+    assert (sol.uhat.values == 0.0).all()
+
+
 def test_newton_agrees_with_damped_picard_oracle():
     # independent route to the same fixed point: under-relaxed Picard sweeps
     # of the linear Dirichlet solve with the lagged monopole closure
@@ -229,12 +247,11 @@ def test_newton_agrees_with_damped_picard_oracle():
     for _ in range(400):
         src = g.values * np.exp(ub + uh)
         mhat = float(src.sum()) * vol
-        bc = fs._monopole_values(grid, -mhat, fs._centroid(src, grid), eps2)
+        new = _monopole(grid, -mhat, fs._centroid(src, grid), eps2)
         rhs = src[1:-1, 1:-1, 1:-1] / eps2
-        rhs -= fs._lap_interior(fs._assemble(np.zeros_like(rhs), bc), h)
+        rhs -= fs._lap_interior(new, h)
         coef = scipy.fft.dstn(rhs, type=1, norm="ortho") / -fs._neg_lap_eigs(rhs.shape[0], h)
-        interior = scipy.fft.dstn(coef, type=1, norm="ortho")
-        new = fs._assemble(interior, bc)
+        new[1:-1, 1:-1, 1:-1] = scipy.fft.dstn(coef, type=1, norm="ortho")
         step = float(np.abs(new - uh).max())
         uh = (1.0 - theta) * uh + theta * new
         if step < 1e-14:
@@ -273,7 +290,7 @@ def test_boundary_row_is_the_monopole_of_the_returned_electron_mass():
     sol = fs.solve_field(rho, g, eps)
     src = g.values * np.exp(sol.u.values)
     mhat = float(src.sum()) * grid.cell_volume
-    expected = fs._monopole_values(grid, -mhat, fs._centroid(src, grid), eps**2)
+    expected = _monopole(grid, -mhat, fs._centroid(src, grid), eps**2)
     faces = np.ones(src.shape, dtype=bool)
     faces[1:-1, 1:-1, 1:-1] = False
     gap = np.abs(sol.uhat.values[faces] - expected[faces]).max()
@@ -340,6 +357,16 @@ def _screened_problem():
     """32^3 near-neutral ion density and background on [-2, 2]^3."""
     grid = GridSpec(half_width=2.0, nodes=32)
     return ScalarField(grid, _background(grid, scale=0.9).values * 0.999), _background(grid)
+
+
+@pytest.mark.parametrize("eps", [0.8, 0.25, 0.05])
+def test_cold_solve_starts_from_the_screening_guess(eps):
+    rho, g = _screened_problem()
+    grid = rho.grid
+    ub = fs.solve_ubar(rho, eps)
+    guess = fs._quasi_neutral_guess(ub, g, eps**2, grid.spacing)
+    cold = fs.solve_uhat(ub, g, eps)
+    assert cold.history[0] == fs.solve_uhat(ub, g, eps, initial=guess).history[0]
 
 
 def test_border_column_is_solved_once_per_call(monkeypatch):
