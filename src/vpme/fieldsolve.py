@@ -59,8 +59,11 @@ NEWTON_TARGET_RTOL = 1e-13
 # inexact-Newton forcing term, also the tolerance of the mass border column.
 # With the centroid among the unknowns Newton contracts superlinearly, so the
 # step is limited by the linear solve: on the quasi-neutral workload shape
-# (32^3, eps 0.1) warm solves take 4 Newton steps and about 18 CG iterations
-# at 1e-3, against 5 at 1e-2; 1e-4 saves no step
+# (32^3, 2e4 ions, seed 1234, eps 0.1) warm solves take 4 Newton steps and
+# 18-19 CG iterations at 1e-3, against 5 Newton steps at 1e-2. 1e-4 saves a
+# Newton step per warm solve there (3 / 18), but costs CG in total: Newton /
+# CG over 20 steps at eps 0.1 go 86 / 404 -> 80 / 494, over 10 steps at eps
+# 0.02 72 / 1271 -> 73 / 1663 and at eps 0.01 120 / 4353 -> 120 / 5544
 NEWTON_CG_RTOL = 1e-3
 # the three centroid border columns only steer c: solving them to 1e-2
 # leaves every Newton step count on the workload shapes unchanged and saves
@@ -92,6 +95,8 @@ class UhatResult:
     cg_iterations: int = 0
     # A^-1 [dF/dmu, dF/dc / mu] as a float32 (4, m, m, m) array; None if never solved
     border_columns: np.ndarray = None
+    # g e^(Ubar + Uhat) on the full grid at the returned Uhat, for the Gauss audit
+    source: np.ndarray = None
 
 
 @dataclass
@@ -416,8 +421,11 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     _check_epsilon(epsilon)
     grid = ubar.grid
     if not g.values.any():
-        # no electrons: Uhat = 0 is exact, and S = 0 leaves the centroid undefined
-        return UhatResult(ScalarField(grid, np.zeros((grid.nodes,) * 3)), 0, 0.0, [0.0])
+        # no electrons: Uhat = 0 is exact, S = 0 leaves the centroid undefined,
+        # and g e^U is g itself
+        return UhatResult(
+            ScalarField(grid, np.zeros((grid.nodes,) * 3)), 0, 0.0, [0.0], source=g.values
+        )
     h = grid.spacing
     eps2 = epsilon**2
     vol = grid.cell_volume
@@ -580,6 +588,7 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
         history=history,
         cg_iterations=cg_total,
         border_columns=border_columns,
+        source=state.src,
     )
 
 
@@ -588,13 +597,14 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
 # ---------------------------------------------------------------------------
 
 
-def gauss_imbalance(u, rho, g, epsilon):
+def gauss_imbalance(u, rho, source, epsilon):
     """Defect of the discrete Gauss identity on the interior.
 
     Summing eps^2 Lap_h U over interior nodes telescopes to a boundary flux;
-    the identity balances it against the interior integral of g e^U - rho.
-    The return value equals the interior sum of the nonlinear residual times
-    the cell volume, so it audits solver convergence structurally.
+    the identity balances it against the interior integral of g e^U - rho,
+    with ``source`` the full-grid array g e^U. The return value equals the
+    interior sum of the nonlinear residual times the cell volume, so it
+    audits solver convergence structurally.
     """
     grid = u.grid
     h = grid.spacing
@@ -609,11 +619,8 @@ def gauss_imbalance(u, rho, g, epsilon):
     )
     flux *= epsilon**2 * h
     inner = slice(1, -1)
-    source = (
-        g.values[inner, inner, inner] * np.exp(uv[inner, inner, inner])
-        - rho.values[inner, inner, inner]
-    ).sum() * grid.cell_volume
-    return float(flux - source)
+    net = (source[inner, inner, inner] - rho.values[inner, inner, inner]).sum()
+    return float(flux - net * grid.cell_volume)
 
 
 def solve_field(rho, g, epsilon, warm=None):
@@ -637,7 +644,8 @@ def solve_field(rho, g, epsilon, warm=None):
             ubar, g, epsilon, initial=warm.uhat.values, border_columns=warm.border_columns
         )
     u = ScalarField(rho.grid, ubar.values + hat.field.values)
-    gauss = gauss_imbalance(u, rho, g, epsilon)
+    # the solver's g e^U is exp of the same Ubar + Uhat sum as u
+    gauss = gauss_imbalance(u, rho, hat.source, epsilon)
     if abs(gauss) > GAUSS_GATE * max(1.0, mass):
         raise FieldSolveError(
             f"Gauss-identity defect {gauss!r} exceeds gate for mass {mass!r}",

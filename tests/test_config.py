@@ -139,6 +139,20 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     assert meta_a["scenario_hash"] == meta_b["scenario_hash"]
 
 
+def test_particle_block_size_moves_no_output(tmp_path, monkeypatch):
+    # 2000 ions fit in one default block and take 8 blocks of 257
+    cfg = small_scenario(save_fields=True)
+    a = runner.run(cfg, tmp_path / "a")
+    monkeypatch.setattr(kernels, "BLOCK", 257)
+    b = runner.run(cfg, tmp_path / "b")
+    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert any(n.parts[0] == "snapshots" for n in names)
+    for name in names:
+        if name.name != runner.META_NAME:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):
     # t = 0, then per step the drifted positions (shared by the closing
     # gather, the deposit and the next opening gather), plus the current
