@@ -37,8 +37,22 @@ the full grid once. K and dK/dc live on a cached list of the face nodes.
 The loop leaves through one positivity check and one return.
 
 The 3-D DST-I (``dstn``) is applied as three BLAS matrix products with one
-cached dense orthonormal sine matrix per interior size m, not by FFT: the
-interior lengths in use have prime m+1, where FFT libraries are slowest.
+cached dense orthonormal sine matrix per interior size m and dtype, not by
+FFT: the interior lengths in use have prime m+1, where FFT libraries are
+slowest.
+
+Precision. The electron Newton's inner CG runs in float32 from end to end:
+the sine matrix, the shifted spectrum of M, the diagonal d and the CG
+vectors, on the right-hand side scaled to unit norm in float64 (so that
+float32 neither overflows nor underflows in its inner products). Everything
+that certifies the solution stays float64: the residuals F, G, H and the
+merit, the line search, the Schur complement, the contract and positivity
+checks, the Gauss audit and the whole ion solve, whose contract is 1e-10.
+That is sound because the CG only has to meet its forcing term: in float32
+the recurrence A z = r + d z holds to about 1e-7, far below the 1e-3 (1e-2
+for the centroid columns) that an inner solve must reach, and Newton
+converges on a residual evaluated in float64 (inexact Newton, Knoll & Keyes
+2004), so the converged Uhat meets the same contract.
 
 Newton iterates to an internal target well below the 1e-10 contract residual
 so that the summed interior residual (which is exactly the Gauss-identity
@@ -63,7 +77,9 @@ NEWTON_TARGET_RTOL = 1e-13
 # 18-19 CG iterations at 1e-3, against 5 Newton steps at 1e-2. 1e-4 saves a
 # Newton step per warm solve there (3 / 18), but costs CG in total: Newton /
 # CG over 20 steps at eps 0.1 go 86 / 404 -> 80 / 494, over 10 steps at eps
-# 0.02 72 / 1271 -> 73 / 1663 and at eps 0.01 120 / 4353 -> 120 / 5544
+# 0.02 72 / 1271 -> 73 / 1663 and at eps 0.01 120 / 4353 -> 120 / 5544.
+# Those counts were taken with a float64 CG. With the float32 CG the 1e-3
+# totals read 86 / 404, 72 / 1308 and 120 / 4445; 1e-4 was not measured again
 NEWTON_CG_RTOL = 1e-3
 # the three centroid border columns only steer c: solving them to 1e-2
 # leaves every Newton step count on the workload shapes unchanged and saves
@@ -131,13 +147,16 @@ def _neg_lap_eigs(m, h):
 
 
 @lru_cache(maxsize=8)
-def _sine_matrix(m):
-    """Orthonormal DST-I matrix S[j,k] = sqrt(2/(m+1)) sin(pi j k/(m+1)), read-only."""
+def _sine_matrix(m, dtype):
+    """Orthonormal DST-I matrix S[j,k] = sqrt(2/(m+1)) sin(pi j k/(m+1)) in ``dtype``, read-only.
+
+    Built in float64 and rounded once to ``dtype``.
+    """
     k = np.arange(1, m + 1)
     # reduce j*k modulo the period 2(m+1) in integers so the sine argument
     # stays below 2 pi and carries no rounding from large multiples of pi
     phase = np.outer(k, k) % (2 * (m + 1))
-    out = math.sqrt(2.0 / (m + 1)) * np.sin(math.pi * phase / (m + 1))
+    out = (math.sqrt(2.0 / (m + 1)) * np.sin(math.pi * phase / (m + 1))).astype(dtype, copy=False)
     out.flags.writeable = False
     return out
 
@@ -146,40 +165,44 @@ def dstn(x):
     """Orthonormal DST-I of an (m, m, m) array along all three axes.
 
     Equal to ``scipy.fft.dstn(x, type=1, norm="ortho")``. S is symmetric
-    and orthogonal, so the transform is its own inverse. Each axis is one
-    BLAS product with the cached (m, m) sine matrix, O(m^4) flops in all
-    against O(m^3 log m) for an FFT; at the sizes in use the dense products
-    win because the FFT lengths m+1 are prime (47, 31 and 23 for the 48^3,
-    32^3 and 24^3 grids) or small. Median per 3-D transform against
-    scipy's pocketfft, one OpenBLAS thread, on a 2-vCPU x86-64 machine:
+    and orthogonal, so the transform is its own inverse. The transform
+    follows the dtype of ``x``: a float32 input is transformed with a
+    float32 S (single-precision BLAS) and comes back float32, accurate to
+    a few 1e-7 relative. Each axis is one BLAS product with the cached
+    (m, m) sine matrix, O(m^4) flops in all against O(m^3 log m) for an
+    FFT; at the sizes in use the dense products win because the FFT
+    lengths m+1 are prime (47, 31 and 23 for the 48^3, 32^3 and 24^3
+    grids) or small. Median per 3-D transform against scipy's pocketfft
+    (float64), one OpenBLAS thread, on a 2-vCPU x86-64 machine:
 
-        m      pocketfft   dense
-        22     0.76 ms     0.06 ms
-        30     2.67 ms     0.17 ms
-        46     11.4 ms     1.90 ms
-        62     11.5 ms     5.45 ms
-        126    525 ms      80 ms
-        127    76 ms       62 ms
-        198    2819 ms     315 ms
-        255    794 ms      1058 ms
+        m      pocketfft   dense float64   dense float32
+        22     0.35 ms     0.029 ms        0.023 ms
+        30     1.10 ms     0.115 ms        0.048 ms
+        46     5.17 ms     0.97 ms         0.25 ms
+        62     5.14 ms     2.91 ms         1.17 ms
+        126    355 ms      38.5 ms         16.1 ms
+        127    43.8 ms     42.6 ms         22.0 ms
+        198    2100 ms     227 ms          121 ms
+        255    552 ms      678 ms          279 ms
 
-    The FFT wins only where m+1 has small factors and m is large, as at
-    m+1 = 256 (257 nodes); no grid in use is that large.
+    In float64 the FFT wins only where m+1 has small factors and m is
+    large, as at m+1 = 256 (257 nodes); no grid in use is that large.
     """
     m = x.shape[0]
-    s = _sine_matrix(m)
+    s = _sine_matrix(m, x.dtype)
     y = (s @ x.reshape(m, m * m)).reshape(m, m, m)
     y = s @ y
     return y @ s
 
 
-def _shifted_lap_inverse(m, h, eps2, shift):
+def _shifted_lap_inverse(m, h, eps2, shift, dtype=np.float64):
     """Exact solve r -> x of (-eps2 Lap_h + shift) x = r on the m^3 interior, zero Dirichlet.
 
-    The shifted spectrum is built once here; each call of the returned
-    function is two transforms and one division.
+    The shifted spectrum is built once here, in float64 and rounded to
+    ``dtype``; each call of the returned function is two transforms and one
+    division, in ``dtype`` for an input of that dtype.
     """
-    lam = eps2 * _neg_lap_eigs(m, h) + shift
+    lam = (eps2 * _neg_lap_eigs(m, h) + shift).astype(dtype, copy=False)
     return lambda r: dstn(dstn(r) / lam)
 
 
@@ -322,6 +345,26 @@ def _pcg(d, apply_minv, b, rtol):
     )
 
 
+def _pcg_float32(d, apply_minv, b, rtol):
+    """``_pcg`` in float32 on the unit-norm float64 right-hand side b; x comes back float64.
+
+    ``d`` and ``apply_minv`` work in float32. Scaling b to unit 2-norm (in
+    float64) keeps the CG's float32 inner products clear of overflow for a
+    large b and of underflow to a zero norm for a tiny one.
+    """
+    scale = math.sqrt(float(np.vdot(b, b)))
+    if not math.isfinite(scale):
+        raise FieldSolveError(
+            f"inner conjugate-gradient right-hand side has norm {scale}; "
+            "retry from a warm start near the solution",
+            residual=scale,
+            iterations=0,
+        )
+    unit = (b / scale if scale > 0.0 else b).astype(np.float32)
+    x, it = _pcg(d, apply_minv, unit, rtol)
+    return np.multiply(x, scale, dtype=np.float64), it
+
+
 # ---------------------------------------------------------------------------
 # ion potential (linear)
 # ---------------------------------------------------------------------------
@@ -412,8 +455,11 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     |G| <= MASS_RTOL max(1, vol S) and |H|_inf <= MASS_RTOL S half_width.
 
     Each Newton step builds the shifted spectrum of M = -eps^2 Lap_h +
-    mean(w) once. Its DST inverse is exact, so the CG needs only M^-1 and
-    the diagonal d = w - mean(w): A p is kept by recurrence, not applied.
+    mean(w) once, in float32. Its DST inverse is exact (to float32
+    rounding), so the CG needs only M^-1 and the diagonal d = w - mean(w):
+    A p is kept by recurrence, not applied. The CG runs in float32 on the
+    unit-norm right-hand side (``_pcg_float32``); every residual, the
+    line search and the Schur complement stay float64.
     A CG that fails raises FieldSolveError naming eps, the Newton step, the
     solve (the residual or a border column), the CG iterations spent in
     this call and the reached relative residual.
@@ -469,7 +515,7 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     def _solve(d, minv, rhs, rtol, what):
         nonlocal cg_total
         try:
-            x, it = _pcg(d, minv, rhs, rtol)
+            x, it = _pcg_float32(d, minv, rhs, rtol)
         except FieldSolveError as exc:
             raise FieldSolveError(
                 f"{exc} [electron Newton step {accepted + 1} at eps {epsilon:g}, {what}, "
@@ -525,8 +571,8 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
         # scalars and is solved to 1e-3 or 1e-2, so float32 holds it
         w = src[inner]
         shift = float(w.mean())
-        minv = _shifted_lap_inverse(w.shape[0], h, eps2, shift)
-        d = w - shift
+        minv = _shifted_lap_inverse(w.shape[0], h, eps2, shift, np.float32)
+        d = (w - shift).astype(np.float32)
         z = _solve(d, minv, state.f, NEWTON_CG_RTOL, "residual solve")
         if border_columns is None:
             border_columns = np.empty((4,) + w.shape, dtype=np.float32)

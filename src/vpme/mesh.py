@@ -166,10 +166,12 @@ def _ball_cell_average(profile, grid):
 # ---------------------------------------------------------------------------
 
 
-def _diff_axis(u, h, axis):
+def _diff_axis(u, h, axis, out=None):
+    """Second-order difference of ``u`` along ``axis``, into ``out`` (same shape) if given."""
     u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    out = np.empty_like(u) if out is None else np.moveaxis(out, axis, 0)
+    inner = np.subtract(u[2:], u[:-2], out=out[1:-1])
+    inner /= 2.0 * h
     out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     return np.moveaxis(out, 0, axis)

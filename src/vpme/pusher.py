@@ -84,12 +84,27 @@ def stability_check(v2max, e, dt):
             f"dt*max|v| = {dt * vmax:.3e} exceeds half a cell ({0.5 * grid.spacing:.3e}); "
             "particles cross cells within a step"
         )
-    grad_max = 0.0
-    for c in range(3):
-        grad_max = max(grad_max, float(np.abs(mesh.gradient(e.values[..., c], grid.spacing)).max()))
+    grad_max = _max_abs_gradient(e)
     if dt * dt * grad_max > 0.1:
         advisories.append(
             f"dt^2*max|grad E| = {dt * dt * grad_max:.3e} exceeds 0.1; "
             "field varies too fast for the step size"
         )
     return advisories
+
+
+def _max_abs_gradient(e):
+    """max over nodes, c and d of |dE_c/dx_d|, as ``mesh.gradient`` differences them.
+
+    Each derivative is taken into one reused (N, N, N) buffer and reduced
+    there, so no (N, N, N, 3) gradient array is built; max and negation are
+    exact, so the value is the one the full gradients give.
+    """
+    h = e.grid.spacing
+    buf = np.empty(e.values.shape[:3])
+    out = 0.0
+    for c in range(3):
+        for d in range(3):
+            mesh._diff_axis(e.values[..., c], h, d, out=buf)
+            out = max(out, float(buf.max()), -float(buf.min()))
+    return out

@@ -6,6 +6,7 @@ and pinned; tolerances leave room for BLAS/FFT reordering, not for
 regressions.
 """
 
+import inspect
 import math
 import re
 import warnings
@@ -52,6 +53,19 @@ def test_dstn_matches_scipy_dst1_and_is_an_involution():
         y = fs.dstn(x)
         assert np.abs(y - scipy.fft.dstn(x, type=1, norm="ortho")).max() <= tol
         assert np.abs(fs.dstn(y) - x).max() <= tol
+
+
+def test_dstn_follows_a_float32_input():
+    # the electron solve's preconditioner transforms float32 vectors with a
+    # float32 sine matrix; measured gaps 1.7e-7 to 2.3e-7 of max|y|
+    rng = np.random.default_rng(1)
+    for m in (14, 22, 30):
+        x = rng.standard_normal((m, m, m))
+        y = fs.dstn(x.astype(np.float32))
+        assert y.dtype == np.float32
+        exact = fs.dstn(x)
+        assert exact.dtype == np.float64
+        assert np.abs(y - exact).max() <= 1e-6 * float(np.abs(exact).max())
 
 
 def test_ball_potential_center_value_and_order():
@@ -176,6 +190,86 @@ def test_recurrence_pcg_meets_its_residual_on_a_stiff_diagonal():
         true_res = b + eps2 * fs._lap_interior(np.pad(x, 1), h) - w * x
         assert it > 30
         assert np.linalg.norm(true_res) <= 1.1 * rtol * np.linalg.norm(b)
+
+
+def test_float32_inner_solve_reaches_the_same_residual_at_any_scale():
+    # the electron CG runs in float32 on the unit-norm right-hand side. Unscaled,
+    # a norm of 1e25 overflows the float32 inner products (a non-finite CG
+    # residual) and a norm of 1e-30 underflows to a zero norm (x = 0)
+    grid = GridSpec(half_width=2.0, nodes=16)
+    h, m, eps2 = grid.spacing, grid.nodes - 2, 0.05**2
+    rng = np.random.default_rng(7)
+    w = np.exp(rng.uniform(-3.0, 3.0, (m, m, m)))
+    shift = float(w.mean())
+    minv = fs._shifted_lap_inverse(m, h, eps2, shift, np.float32)
+    d = (w - shift).astype(np.float32)
+    b = rng.standard_normal((m, m, m))
+    b /= np.linalg.norm(b)
+
+    def solved(norm):
+        x, it = fs._pcg_float32(d, minv, norm * b, fs.NEWTON_CG_RTOL)
+        assert x.dtype == np.float64
+        # the true residual in float64, with the stencil operator
+        res = norm * b + eps2 * fs._lap_interior(np.pad(x, 1), h) - w * x
+        return np.linalg.norm(res) / norm, it
+
+    unit, unit_it = solved(1.0)
+    assert unit <= 1.1 * fs.NEWTON_CG_RTOL
+    for norm in (1e-30, 1e25):
+        rel, it = solved(norm)
+        assert it == unit_it
+        assert rel == pytest.approx(unit, rel=1e-4)
+
+
+def test_electron_cg_runs_in_float32_and_the_ion_solve_in_float64(monkeypatch):
+    pcg, shifted = fs._pcg, fs._shifted_lap_inverse
+    signature = inspect.signature(shifted)
+    cg_dtypes, spectrum_dtypes = [], []
+
+    def spy_pcg(d, apply_minv, b, rtol):
+        cg_dtypes.append((d.dtype, b.dtype, apply_minv(b).dtype))
+        return pcg(d, apply_minv, b, rtol)
+
+    def spy_inverse(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        spectrum_dtypes.append(np.dtype(bound.arguments["dtype"]))
+        return shifted(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "_pcg", spy_pcg)
+    monkeypatch.setattr(fs, "_shifted_lap_inverse", spy_inverse)
+    rho, g = _small_problem()
+    ubar = fs.solve_ubar(rho, 0.5)
+    assert spectrum_dtypes == [np.float64]
+    assert ubar.values.dtype == np.float64
+    spectrum_dtypes.clear()
+    hat = fs.solve_uhat(ubar, g, 0.5)
+    assert len(spectrum_dtypes) == hat.iterations
+    assert set(spectrum_dtypes) == {np.dtype(np.float32)}
+    assert len(cg_dtypes) == hat.iterations + 4
+    assert set(cg_dtypes) == {(np.dtype(np.float32),) * 3}
+    assert hat.field.values.dtype == np.float64
+    assert hat.border_columns.dtype == np.float32
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01])
+def test_float32_inner_solve_keeps_the_electron_contract(eps):
+    # cold, then warm from that solution for a density 1e-4 lighter; the
+    # residual and the Gauss defect are rechecked here in float64
+    grid = GridSpec(half_width=2.0, nodes=16)
+    g = _background(grid)
+    rho = ScalarField(grid, _background(grid, scale=0.9).values * 0.999)
+    cold = fs.solve_field(rho, g, eps)
+    moved = ScalarField(grid, 0.9999 * rho.values)
+    warm = fs.solve_field(moved, g, eps, warm=cold)
+    assert warm.newton_iterations > 0
+    for sol, dens in ((cold, rho), (warm, moved)):
+        source = g.values * np.exp(sol.u.values)
+        f = eps**2 * fs._lap_interior(sol.uhat.values, grid.spacing) - source[1:-1, 1:-1, 1:-1]
+        assert np.abs(f).max() <= fs.CONTRACT_RTOL * max(1.0, float(source.max()))
+        mass = float(dens.values.sum()) * grid.cell_volume
+        gauss = fs.gauss_imbalance(sol.u, dens, source, eps)
+        assert abs(gauss) <= fs.GAUSS_GATE * max(1.0, mass)
 
 
 def test_centroid_from_axis_sums_matches_node_coordinate_formula():
@@ -490,8 +584,8 @@ def test_absurd_initial_guess_raises_with_warm_start_advice():
 def test_non_finite_cg_residual_raises_with_warm_start_advice():
     rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
-    # exp(705) is finite, but the Newton operator built on it is not: the
-    # inner CG residual turns NaN on its first iteration
+    # exp(705) is finite, but the Newton residual built on it is not: the
+    # norm of the inner CG's right-hand side overflows
     with pytest.raises(fs.FieldSolveError, match="retry from a warm start"):
         fs.solve_uhat(ub, g, 0.5, initial=np.full((16, 16, 16), 705.0))
 
@@ -612,7 +706,8 @@ def test_broken_invariant_raises(monkeypatch, constant, value, message):
 
 def test_cached_grid_arrays_are_read_only():
     grid = GridSpec(half_width=2.0, nodes=16)
-    for arr in (fs._neg_lap_eigs(14, grid.spacing), fs._sine_matrix(14), *fs._face_nodes(grid)):
+    sines = (fs._sine_matrix(14, np.dtype(np.float64)), fs._sine_matrix(14, np.dtype(np.float32)))
+    for arr in (fs._neg_lap_eigs(14, grid.spacing), *sines, *fs._face_nodes(grid)):
         assert not arr.flags.writeable
 
 

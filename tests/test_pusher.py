@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from vpme import pusher
+from vpme import mesh, pusher
 from vpme.mesh import GridSpec, VectorField
 from vpme.particles import ParticleEnsemble, q_star, q_tt
 from vpme.pusher import TimeSpec
@@ -134,3 +134,18 @@ def test_stability_advisories():
     stiff = _linear_field(-50.0)
     notes = pusher.stability_check((calm.velocities**2).sum(axis=1).max(), stiff, 0.1)
     assert len(notes) == 1 and "varies too fast" in notes[0]
+
+
+def test_gradient_max_by_axis_equals_the_full_gradient_max():
+    # oracle: the three (N, N, N, 3) gradients the advisory once built; max
+    # and abs are exact, so the per-axis reduction must agree bitwise
+    rng = np.random.default_rng(5)
+    for nodes in (8, 17):
+        grid = GridSpec(half_width=1.5, nodes=nodes)
+        for scale in (1.0, 1e-3, 1e4):
+            e = VectorField(grid, scale * rng.standard_normal((nodes,) * 3 + (3,)))
+            oracle = max(
+                float(np.abs(mesh.gradient(e.values[..., c], grid.spacing)).max())
+                for c in range(3)
+            )
+            assert pusher._max_abs_gradient(e) == oracle
