@@ -14,39 +14,48 @@ weight (wx*wy)*wz (a deposit adds w*weight). A NaN position is out of the box.
 
 The kernels address the C-ordered node array through one flat index. One
 CIC setup, `cic_setup`, serves every kernel that reads or writes at the same
-positions: the boolean in-box mask, each in-box particle's base node
-(ix*N + iy)*N + iz and its (n, 3) fractions. `corner` gives one corner's
+positions. It holds one row per particle: the boolean in-box mask, the base
+node (ix*N + iy)*N + iz and the (n, 3) fractions. An escaped particle keeps
+its row, at cell 0 with zero fractions, and its mask entry acts as a weight,
+not as an index: the deposits scatter the weights where the mask is set and
+zero elsewhere, and the gather zeroes the rows the mask leaves out. So the
+kernels know one index space, the particles'. `corner` gives one corner's
 (flat offset, weight) pair, `corners` all eight in order for the gather.
 Deposits scatter with np.add.at on the flattened array (one strided
 component view at a time for vectors), and the gather takes from one
 contiguous plane per component. Every node and particle component thus
-receives the same products in the same order as a per-corner (ix, iy, iz)
-fancy index would give it, so the results are bitwise those of that
-formulation; tests/test_kernels.py keeps it as the oracle.
+receives the same nonzero products in the same order as a per-corner
+(ix, iy, iz) fancy index over the in-box particles would give it, so the
+results are bitwise those of that formulation; tests/test_kernels.py keeps
+it as the oracle. An escaped particle adds a zero, which changes no bit,
+because a node starts at +0.0 and so never holds -0.0.
 
 The block rule: every kernel walks the particles in blocks of BLOCK
 consecutive particles, in particle order (`block_slices`), and `blocks`
-cuts a setup into per-block views. Per-particle work is blocked freely,
-because no particle's result depends on another's: the setup, the gathers,
-the kicks, the drift, the half-step positions and velocities and the field
-integral. The scatters are the exception. A node sums the contributions of
-many particles, so their order sets its rounding; the deposits therefore
-loop the corners outside the blocks, and for each corner np.add.at runs
-over the blocks in particle order. Each node then receives the same
-additions in the same order as one whole-array np.add.at per corner, and
-so the same bits; blocks outside corners would interleave the corners and
-move the rounding. The returned in-box weight is one whole-array sum,
-because a pairwise sum depends on the block layout. No output depends on
-BLOCK (tests/test_config.py runs a scenario at two block sizes).
+cuts a setup into per-block views, one block setup per particle slice.
+Per-particle work is blocked freely, because no particle's result depends
+on another's: the setup, the gathers, the kicks, the drift, the half-step
+positions and velocities and the field integral. The scatters are the
+exception. A node sums the contributions of many particles, so their order
+sets its rounding; the deposits therefore loop the corners outside the
+blocks, and for each corner np.add.at runs over the blocks in particle
+order. Each node then receives the same additions in the same order as one
+whole-array np.add.at per corner, and so the same bits; blocks outside
+corners would interleave the corners and move the rounding. The returned
+in-box weight is one pairwise sum over the in-box weights alone, because a
+pairwise sum depends on the block layout, and a sum over the zero-padded
+weights would pair them differently. No output depends on BLOCK
+(tests/test_config.py runs two scenarios at two block sizes).
 
-Working memory per particle: the setup, about 33 bytes, lives from one push
-to the next; the push adds |E| of the opening kick (8 bytes) until the
-closing kick, and the deposits the in-box weights (8 bytes). Everything else
-is per block: about 94 bytes per block particle in the push, so 1.5 MB at
-BLOCK = 16384, whatever the particle count. BLOCK was chosen from 16384,
-32768 and 65536 on the three benchmark workloads (CHANGES.md): the kernel
-times did not move beyond noise, and dense-ions' peak RSS rose with the
-block, 145.7, 146.1 and 147.5 MB.
+Working memory per particle: the setup, about 33 bytes for every particle,
+escaped ones included, lives from one push to the next; the push adds |E| of
+the opening kick (8 bytes) until the closing kick, and the deposits the
+zero-padded weights (8 bytes). Everything else is per block: about 94 bytes
+per block particle in the push, so 1.5 MB at BLOCK = 16384, whatever the
+particle count. BLOCK was chosen from 16384, 32768 and 65536 on the three
+benchmark workloads (CHANGES.md): the kernel times did not move beyond
+noise, and dense-ions' peak RSS rose with the block, 145.7, 146.1 and
+147.5 MB.
 
 Who builds a setup, who consumes it and when it is freed: `push_kdk` takes
 the setup of the current positions in a one-slot list, empties the list for
@@ -79,43 +88,37 @@ def block_slices(n):
 def cic_setup(pos, x0, h, nodes):
     """CIC setup of ``pos``: (in-box mask, flat base node index, (n, 3) fractions).
 
-    Two passes over the blocks: the first builds the mask, so that the base
-    and fraction arrays can be allocated at their final length; the second
-    scales the in-box rows of each block, clips them and reduces them to the
-    fractions in place.
+    One row per particle, built block by block in one pass. A particle outside
+    the box, or at a NaN position, keeps its row, set to cell 0 with zero
+    fractions; the kernels read its mask entry as a zero weight.
     """
-    inbox = np.empty(pos.shape[0], dtype=bool)
-    for sl in block_slices(pos.shape[0]):
-        s = pos[sl] - x0
+    n = pos.shape[0]
+    # the largest array first, so that it takes the hole the last setup left:
+    # dense-ions' peak RSS read 141-144 MB this way, 147 MB with the mask first
+    frac = np.empty((n, 3))
+    base = np.empty(n, dtype=np.int64)
+    inbox = np.empty(n, dtype=bool)
+    for sl in block_slices(n):
+        s = np.subtract(pos[sl], x0, out=frac[sl])
         s /= h
         ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
-        inbox[sl] = ok[:, 0] & ok[:, 1] & ok[:, 2]
-    m = np.count_nonzero(inbox)
-    cic = inbox, np.empty(m, dtype=np.int64), np.empty((m, 3))
-    for sl, _, (inb, base, frac) in blocks(cic):
-        s = pos[sl].compress(inb, axis=0)
-        s -= x0
-        s /= h
+        inb = inbox[sl] = ok[:, 0] & ok[:, 1] & ok[:, 2]
+        s[~inb] = 0.0
         np.clip(s, 0.0, nodes - 1.0, out=s)
         idx = s.astype(np.int64)
         np.minimum(idx, nodes - 2, out=idx)
-        np.subtract(s, idx, out=frac)
-        base[:] = (idx[:, 0] * nodes + idx[:, 1]) * nodes + idx[:, 2]
-    return cic
+        s -= idx
+        base[sl] = (idx[:, 0] * nodes + idx[:, 1]) * nodes + idx[:, 2]
+    return inbox, base, frac
 
 
 def blocks(cic):
-    """The setup ``cic`` cut at ``block_slices``: (particle slice, in-box row slice, block setup).
+    """The setup ``cic`` cut at ``block_slices``: (particle slice, block setup).
 
     The block setup's arrays are views of the setup's, so they keep it alive.
     """
-    inbox, base, frac = cic
-    k = 0
-    for sl in block_slices(inbox.shape[0]):
-        inb = inbox[sl]
-        rows = slice(k, k + np.count_nonzero(inb))
-        k = rows.stop
-        yield sl, rows, (inb, base[rows], frac[rows])
+    for sl in block_slices(cic[0].shape[0]):
+        yield sl, tuple(a[sl] for a in cic)
 
 
 def corner(frac, nodes, k):
@@ -134,9 +137,10 @@ def corners(frac, nodes):
     """``corner(frac, nodes, k)`` for k = 0..7, one at a time, sharing each wx*wy.
 
     The gather takes all eight corners of a block at once, and sharing wx*wy
-    makes it 12% faster than eight ``corner`` calls (62 against 71 ms CPU at
-    4e5 ions on 24^3). Yielding them one at a time keeps one corner's
-    weights alive, not eight.
+    makes it faster than eight ``corner`` calls, with the same bits (medians
+    of 38-55 against 48-62 ms CPU per gather at 4e5 ions on 24^3, faster in
+    each of four rounds alternating the two in one process). Yielding them
+    one at a time keeps one corner's weights alive, not eight.
     """
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
@@ -147,12 +151,17 @@ def corners(frac, nodes):
                 yield (dx * nodes + dy) * nodes + dz, wxy * wz
 
 
-def _scatter_order(cic, nodes):
-    """(particle slice, block mask, in-box rows, flat nodes, weights), corners outside blocks."""
+def _scatter_order(cic, weights, nodes):
+    """(particle slice, flat nodes, weighted corner weights) per block, corners outside blocks.
+
+    An escaped particle's weight is zero, which moves no bit of the target.
+    """
+    w = np.where(cic[0], weights, 0.0)
     for k in range(8):
-        for sl, rows, (inb, base, frac) in blocks(cic):
+        for sl, (_, base, frac) in blocks(cic):
             off, cw = corner(frac, nodes, k)
-            yield sl, inb, rows, base + off, cw
+            cw *= w[sl]
+            yield sl, base + off, cw
 
 
 def row_norm2(a):
@@ -168,48 +177,45 @@ def _flat_view(out):
 
 
 def deposit(cic, weights, out):
-    """Scatter ``weights`` at the setup ``cic`` into ``out``; returns the in-box weight."""
-    w = weights[cic[0]]
-    flat = _flat_view(out)
-    for _, _, rows, at, cw in _scatter_order(cic, out.shape[0]):
-        cw *= w[rows]
-        np.add.at(flat, at, cw)
-    return float(w.sum())
+    """Scatter ``weights`` at the setup ``cic`` into ``out``; returns the in-box weight.
 
-
-def _masked_rows(a, mask):
-    """The rows of the 2-D ``a`` where ``mask`` is set, each copied as one item.
-
-    Several times faster than ``a[mask]``, which copies element by element.
+    Escaped particles scatter zero; the returned weight is one pairwise sum
+    over the in-box weights alone (the module's block rule).
     """
-    a = np.ascontiguousarray(a)
-    row = np.dtype((np.void, a.dtype.itemsize * a.shape[1]))
-    return a.view(row)[:, 0][mask].view(a.dtype).reshape(-1, a.shape[1])
+    flat = _flat_view(out)
+    for _, at, cw in _scatter_order(cic, weights, out.shape[0]):
+        np.add.at(flat, at, cw)
+    return float(weights[cic[0]].sum())
 
 
 def deposit_vec(cic, weights, vec, out):
-    """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp)."""
-    w = weights[cic[0]]
+    """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp); returns the in-box weight.
+
+    ``vec`` must be finite on escaped rows too: their zero weight times an
+    infinite or NaN component is NaN.
+    """
     flat = _flat_view(out).reshape(-1, vec.shape[1])
-    for sl, inb, rows, at, cw in _scatter_order(cic, out.shape[0]):
-        cw *= w[rows]
-        for c, col in enumerate(_masked_rows(vec[sl], inb).T):
-            np.add.at(flat[:, c], at, cw * col)
-    return float(w.sum())
+    for sl, at, cw in _scatter_order(cic, weights, out.shape[0]):
+        for c in range(vec.shape[1]):
+            np.add.at(flat[:, c], at, cw * vec[sl, c])
+    return float(weights[cic[0]].sum())
 
 
 def gather_vec(grid, cic, out):
-    """Trilinear ``grid`` (N, N, N, ncomp) values at the setup ``cic`` into ``out``; zero outside."""
+    """Trilinear ``grid`` (N, N, N, ncomp) values at the setup ``cic`` into ``out``; zero outside.
+
+    Escaped rows gather node 0 and are then set to +0.0.
+    """
     planes = [np.ascontiguousarray(grid[..., c]).reshape(-1) for c in range(grid.shape[3])]
-    for sl, _, (inb, base, frac) in blocks(cic):
+    for sl, (inb, base, frac) in blocks(cic):
         acc = np.zeros((len(planes), base.shape[0]))
         for off, cw in corners(frac, grid.shape[0]):
             at = base + off
             for a, plane in zip(acc, planes):
                 a += cw * plane.take(at)
         block = out[sl]
-        block[:] = 0.0
-        block[inb] = acc.T
+        block[:] = acc.T
+        block[~inb] = 0.0
     return out
 
 
@@ -219,7 +225,7 @@ def _gathered(grid, cic, buf):
     Calls ``gather_vec`` by its module-global name, so a wrapper installed
     there sees every block's gather.
     """
-    for sl, _, blk in blocks(cic):
+    for sl, blk in blocks(cic):
         yield sl, gather_vec(grid, blk, buf[: blk[0].shape[0]])
 
 

@@ -103,8 +103,8 @@ def current_from_arrays(positions, velocities, weights, grid):
     raw = np.zeros((grid.nodes,) * 3 + (3,))
     kernels.deposit_vec(
         kernels.cic_setup(positions, grid.origin, grid.spacing, grid.nodes),
-        np.ascontiguousarray(weights),
-        np.ascontiguousarray(velocities),
+        weights,
+        velocities,
         raw,
     )
     return VectorField(grid, raw / grid.cell_volume)
@@ -177,14 +177,11 @@ def _diff_axis(u, h, axis, out=None):
     return np.moveaxis(out, 0, axis)
 
 
-def gradient(field, h=None):
-    """Second-order gradient (central inside, one-sided on faces)."""
-    values = field.values if isinstance(field, ScalarField) else field
-    if h is None:
-        h = field.grid.spacing
-    out = np.empty(values.shape + (3,))
+def gradient(field):
+    """Second-order gradient of a ScalarField (central inside, one-sided on faces)."""
+    out = np.empty(field.values.shape + (3,))
     for d in range(3):
-        out[..., d] = _diff_axis(values, h, d)
+        out[..., d] = _diff_axis(field.values, field.grid.spacing, d)
     return out
 
 

@@ -27,7 +27,10 @@ class SpatialProfile:
             raise ValueError(f"profile scale must be positive and finite, got {self.scale}")
         if len(self.center) != 3:
             raise ValueError("profile center must have 3 components")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = tuple(float(c) for c in self.center)
+        if not all(math.isfinite(c) for c in center):
+            raise ValueError(f"profile center must be finite, got {center}")
+        object.__setattr__(self, "center", center)
 
     def density(self, points):
         """Pointwise density at an (n, 3) array of positions."""

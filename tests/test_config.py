@@ -100,6 +100,8 @@ def test_cold_lattice_canonical_round_trip(tmp_path):
         (("count = 500", "count = 500\ndrift = nan 0 0"), "drift must be 3 finite"),
         (("count = 500", "count = 500\nprofile_center = 0 zero 0"), "could not convert"),
         (("[background]\nprofile = gaussian", "[background]\nprofile = cube"), "profile kind"),
+        (("count = 500", "count = 500\nprofile_center = nan 0 0"), "center must be finite"),
+        (("\n[run]", "profile_center = inf 0 0\n[run]"), "center must be finite"),  # background
     ],
 )
 def test_load_config_rejects(tmp_path, mangle, message):
@@ -140,17 +142,23 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 
 
 def test_particle_block_size_moves_no_output(tmp_path, monkeypatch):
-    # 2000 ions fit in one default block and take 8 blocks of 257
-    cfg = small_scenario(save_fields=True)
-    a = runner.run(cfg, tmp_path / "a")
-    monkeypatch.setattr(kernels, "BLOCK", 257)
-    b = runner.run(cfg, tmp_path / "b")
-    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    assert any(n.parts[0] == "snapshots" for n in names)
-    for name in names:
-        if name.name != runner.META_NAME:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # 2000 ions fit in one default block and take 8 blocks of 257; on the
+    # narrower box 18 ions start outside it (1 on the wider), so escaped rows
+    # straddle the blocks
+    default = kernels.BLOCK
+    for half_width in (4.0, 3.0):
+        cfg = small_scenario(save_fields=True, grid=GridSpec(half_width=half_width, nodes=16))
+        runs = []
+        for block in (default, 257):
+            monkeypatch.setattr(kernels, "BLOCK", block)
+            runs.append(runner.run(cfg, tmp_path / f"{half_width}-{block}"))
+        a, b = runs
+        names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        assert any(n.parts[0] == "snapshots" for n in names)
+        for name in names:
+            if name.name != runner.META_NAME:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):

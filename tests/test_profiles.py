@@ -14,6 +14,7 @@ from vpme.profiles import SpatialProfile
         (dict(kind="cube", scale=1.0), "unknown profile kind"),
         (dict(kind="gaussian", scale=math.inf), "scale must be positive and finite"),
         (dict(kind="uniform_ball", scale=1.0, center=(0.0, 0.0)), "3 components"),
+        (dict(kind="gaussian", scale=1.0, center=(math.nan, 0.0, 0.0)), "center must be finite"),
     ],
 )
 def test_profile_validation(kwargs, message):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vpme import mesh, pusher
-from vpme.mesh import GridSpec, VectorField
+from vpme.mesh import GridSpec, ScalarField, VectorField
 from vpme.particles import ParticleEnsemble, q_star, q_tt
 from vpme.pusher import TimeSpec
 
@@ -145,7 +145,7 @@ def test_gradient_max_by_axis_equals_the_full_gradient_max():
         for scale in (1.0, 1e-3, 1e4):
             e = VectorField(grid, scale * rng.standard_normal((nodes,) * 3 + (3,)))
             oracle = max(
-                float(np.abs(mesh.gradient(e.values[..., c], grid.spacing)).max())
+                float(np.abs(mesh.gradient(ScalarField(grid, e.values[..., c]))).max())
                 for c in range(3)
             )
             assert pusher._max_abs_gradient(e) == oracle
