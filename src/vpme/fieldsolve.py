@@ -697,11 +697,13 @@ def solve_field(rho, g, epsilon, warm=None):
             f"Gauss-identity defect {gauss!r} exceeds gate for mass {mass!r}",
             residual=hat.residual,
         )
+    e = gradient(u)
     return FieldSolution(
         u=u,
         ubar=ubar,
         uhat=hat.field,
-        e=VectorField(rho.grid, -gradient(u)),
+        # negated in place, so no second (N, N, N, 3) array; negation is exact
+        e=VectorField(rho.grid, np.negative(e, out=e)),
         epsilon=epsilon,
         newton_iterations=hat.iterations,
         residual_inf=hat.residual,

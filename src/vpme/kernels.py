@@ -48,22 +48,14 @@ weights would pair them differently. No output depends on BLOCK
 (tests/test_config.py runs two scenarios at two block sizes).
 
 Working memory per particle: the setup, about 33 bytes for every particle,
-escaped ones included, lives from one push to the next; the push adds |E| of
-the opening kick (8 bytes) until the closing kick, and the deposits the
-zero-padded weights (8 bytes). Everything else is per block: about 94 bytes
-per block particle in the push, so 1.5 MB at BLOCK = 16384, whatever the
-particle count. BLOCK was chosen from 16384, 32768 and 65536 on the three
-benchmark workloads (CHANGES.md): the kernel times did not move beyond
-noise, and dense-ions' peak RSS rose with the block, 145.7, 146.1 and
-147.5 MB.
-
-Who builds a setup, who consumes it and when it is freed: `push_kdk` takes
-the setup of the current positions in a one-slot list, empties the list for
-the opening kick, so the setup is freed before the drifted positions get
-theirs, and leaves that new setup in the list after the closing kick
-consumed it. The runner passes it on to the density deposit and holds it in
-the list through the solve and the checkpoint, until the next push empties
-it.
+escaped ones included, lives the whole run, because the push refills each
+block's rows in place with the setup of the drifted positions; the deposits
+add the zero-padded weights (8 bytes). Everything else is per block: about
+121 bytes per block particle in the push, refill included, so 2 MB at
+BLOCK = 16384, whatever the particle count. BLOCK was chosen from 16384, 32768 and 65536
+on the three benchmark workloads (CHANGES.md): the kernel times did not
+move beyond noise, and dense-ions' peak RSS rose with the block, 145.7,
+146.1 and 147.5 MB.
 
 EDGE_TOL (in index units) absorbs the rounding of (x - x0)/h for particles
 sitting exactly on the box faces; without it a node-lattice particle at +L
@@ -88,28 +80,37 @@ def block_slices(n):
 def cic_setup(pos, x0, h, nodes):
     """CIC setup of ``pos``: (in-box mask, flat base node index, (n, 3) fractions).
 
-    One row per particle, built block by block in one pass. A particle outside
-    the box, or at a NaN position, keeps its row, set to cell 0 with zero
+    One row per particle, filled block by block by ``fill_setup``.
+    """
+    # the largest array first, so that it takes the hole the last setup left:
+    # with only the checkpoint current building a setup after t = 0,
+    # dense-ions' peak RSS read 140.8-141.0 MB this way, 141.1-141.3 mask first
+    frac = np.empty((len(pos), 3))
+    base = np.empty(len(pos), dtype=np.int64)
+    inbox = np.empty(len(pos), dtype=bool)
+    cic = inbox, base, frac
+    for sl, blk in blocks(cic):
+        fill_setup(pos[sl], x0, h, nodes, blk)
+    return cic
+
+
+def fill_setup(pos, x0, h, nodes, cic):
+    """Write the CIC setup of ``pos`` into the setup arrays ``cic``, row for row, in place.
+
+    A particle outside the box, or at a NaN position, gets cell 0 with zero
     fractions; the kernels read its mask entry as a zero weight.
     """
-    n = pos.shape[0]
-    # the largest array first, so that it takes the hole the last setup left:
-    # dense-ions' peak RSS read 141-144 MB this way, 147 MB with the mask first
-    frac = np.empty((n, 3))
-    base = np.empty(n, dtype=np.int64)
-    inbox = np.empty(n, dtype=bool)
-    for sl in block_slices(n):
-        s = np.subtract(pos[sl], x0, out=frac[sl])
-        s /= h
-        ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
-        inb = inbox[sl] = ok[:, 0] & ok[:, 1] & ok[:, 2]
-        s[~inb] = 0.0
-        np.clip(s, 0.0, nodes - 1.0, out=s)
-        idx = s.astype(np.int64)
-        np.minimum(idx, nodes - 2, out=idx)
-        s -= idx
-        base[sl] = (idx[:, 0] * nodes + idx[:, 1]) * nodes + idx[:, 2]
-    return inbox, base, frac
+    inbox, base, frac = cic
+    s = np.subtract(pos, x0, out=frac)
+    s /= h
+    ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
+    inbox[:] = ok[:, 0] & ok[:, 1] & ok[:, 2]
+    s[~inbox] = 0.0
+    np.clip(s, 0.0, nodes - 1.0, out=s)
+    idx = s.astype(np.int64)
+    np.minimum(idx, nodes - 2, out=idx)
+    s -= idx
+    base[:] = (idx[:, 0] * nodes + idx[:, 1]) * nodes + idx[:, 2]
 
 
 def blocks(cic):
@@ -219,45 +220,36 @@ def gather_vec(grid, cic, out):
     return out
 
 
-def _gathered(grid, cic, buf):
-    """(particle slice, gathered E) per block of the setup ``cic``, into a slice of ``buf``.
-
-    Calls ``gather_vec`` by its module-global name, so a wrapper installed
-    there sees every block's gather.
-    """
-    for sl, blk in blocks(cic):
-        yield sl, gather_vec(grid, blk, buf[: blk[0].shape[0]])
-
-
 def push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid, cic=None):
-    """One kick-drift-kick step in place, block by block; returns the one-slot list ``cic``.
+    """One kick-drift-kick step in place, in one pass over the blocks; returns ``cic``.
 
-    On entry ``cic`` holds the setup of ``pos`` (the list is allocated, and
-    the setup built, when it is None or empty). The opening kick and the
-    drift take the setup out of the list, so it is freed before the drifted
-    positions get theirs; on return the list holds the setup of the drifted
-    ``pos``. Between the two kicks only |E| of the opening kick is kept per
-    particle.
+    ``cic`` is the setup of ``pos`` (built when None). Each block gathers E
+    at its rows, kicks and drifts, then refills its rows with the setup of
+    the drifted positions and gathers again for the closing kick, so on
+    return ``cic`` is the setup of the drifted ``pos``. Both kicks read the
+    same frozen field and a block's rows are refilled only after its
+    opening gather, so the result is that of two whole-array passes.
     """
     nodes = egrid.shape[0]
     if cic is None:
-        cic = []
+        cic = cic_setup(pos, x0, h, nodes)
     # component-major copy: each block's gather takes from its planes uncopied
     grid = np.moveaxis(np.ascontiguousarray(np.moveaxis(egrid, 3, 0)), 0, 3)
     e = np.empty((min(pos.shape[0], BLOCK), 3))
-    n1 = np.empty(pos.shape[0])
-    for sl, eb in _gathered(grid, cic.pop() if cic else cic_setup(pos, x0, h, nodes), e):
-        v, p = vel[sl], pos[sl]
+    for sl, blk in blocks(cic):
+        # gather_vec by its module-global name, so a wrapper installed there
+        # sees both gathers of every block
+        eb = gather_vec(grid, blk, e[: blk[0].shape[0]])
+        v, p, f = vel[sl], pos[sl], fint[sl]
         v += 0.5 * dt * eb
         vmid[sl] = v
         xmid[sl] = p + 0.5 * dt * v
         p += dt * v
-        n1[sl] = np.sqrt(row_norm2(eb))
-    cic.append(cic_setup(pos, x0, h, nodes))
-    for sl, eb in _gathered(grid, cic[0], e):
-        v, f = vel[sl], fint[sl]
+        n1 = np.sqrt(row_norm2(eb))
+        fill_setup(p, x0, h, nodes, blk)
+        gather_vec(grid, blk, eb)
         v += 0.5 * dt * eb
-        f += 0.5 * dt * (n1[sl] + np.sqrt(row_norm2(eb)))
+        f += 0.5 * dt * (n1 + np.sqrt(row_norm2(eb)))
     return cic
 
 

@@ -6,13 +6,10 @@ full dt, then kicks with the field at the post-drift position. The per-kick
 particle's running field integral, half a step's worth per kick, so the
 integral dominates the realized velocity deviation by construction.
 
-Both kicks gather through a cloud-in-cell setup (``kernels.cic_setup``).
-``step`` takes the setup of the current positions in a one-slot list and
-leaves the setup of the drifted positions in it; the opening kick empties
-the list, so the old setup is freed before the new one is built. The runner
-hands that list from one step to the next, and the density deposit in
-between reads the setup from it. Without a list, as in a frozen field, the
-step builds both setups itself.
+Both kicks gather through a cloud-in-cell setup (``kernels.cic_setup``) of
+the current positions, which ``step`` refills in place with the setup of
+the drifted positions. The runner builds it once and hands it to every
+step; without one, as in a frozen field, the step builds it.
 """
 
 import math
@@ -46,10 +43,9 @@ def step(ensemble, e, dt, xmid=None, vmid=None, cic=None):
     """Advance one kick-drift-kick step in place in the field ``e`` (a VectorField).
 
     ``xmid``/``vmid`` receive the half-step drift positions and velocities;
-    they feed the midpoint current deposit. ``cic`` is a one-slot list
-    holding the CIC setup of the current positions; the opening kick takes
-    it out, and on return the list holds the setup of the drifted positions.
-    Each is allocated (the setup built) when omitted. Returns
+    they feed the midpoint current deposit. ``cic`` is the CIC setup of the
+    current positions; on return it holds the setup of the drifted
+    positions. Each is allocated (the setup built) when omitted. Returns
     ``(xmid, vmid, cic)``.
     """
     if xmid is None:

@@ -17,12 +17,10 @@ timeseries.csv and fields.csv, the step-size advisories are merged, and the
 field snapshot is written when requested.
 
 One CIC setup per ion position: the runner builds the setup of the t = 0
-positions for the first deposit and keeps it in a one-slot list. Each
-``pusher.step`` takes it out for its opening gather, which frees it, and
-leaves the setup of the drifted positions in the list; the closing gather
-and the deposit use that one, and the list holds it through the solve and
-the checkpoint until the next step. Only the checkpoint's current deposit
-at the half-step positions builds a setup of its own.
+positions once, and each ``pusher.step`` refills it in place with the setup
+of the drifted positions, which the deposit then reads. Only the
+checkpoint's current deposit at the half-step positions builds a setup of
+its own.
 
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
@@ -138,7 +136,7 @@ def run(cfg, out_dir, seed=None):
 
     def _deposit(n):
         nonlocal escaped_peak
-        rho = mesh.deposit_density(ens, cfg.grid, cic[0])
+        rho = mesh.deposit_density(ens, cfg.grid, cic)
         escaped_peak = max(escaped_peak, ens.escaped_mass)
         if ens.escaped_mass > gate:
             raise EscapedMassError(
@@ -155,7 +153,7 @@ def run(cfg, out_dir, seed=None):
         if snapshot_dir is not None:
             _snapshot(snapshot_dir, n, sol)
 
-    cic = [kernels.cic_setup(ens.positions, cfg.grid.origin, cfg.grid.spacing, cfg.grid.nodes)]
+    cic = kernels.cic_setup(ens.positions, cfg.grid.origin, cfg.grid.spacing, cfg.grid.nodes)
     try:
         rho = _deposit(0)
         selfconsistent = cfg.field_mode == "selfconsistent"
@@ -246,6 +244,8 @@ def _run_report(path, series):
     checks = verify.run_checks(series, meta)
     return {
         "kind": "run",
+        "status": meta["status"],
+        "error": meta["error"],
         "scenario_hash": meta["scenario_hash"],
         "seed": meta["seed"],
         "epsilon": meta["epsilon"],
@@ -260,7 +260,8 @@ def _run_report(path, series):
             "L3": float(np.max(fields["geU_L3"])),
             "Linf": float(np.max(fields["geU_Linf"])),
         },
-        "verdict": checks["verdict"],
+        # an aborted run fails whatever its recorded checkpoints show
+        "verdict": checks["verdict"] if meta["status"] == "ok" else "fail",
     }
 
 

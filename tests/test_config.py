@@ -162,22 +162,30 @@ def test_particle_block_size_moves_no_output(tmp_path, monkeypatch):
 
 
 def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):
-    # t = 0, then per step the drifted positions (shared by the closing
-    # gather, the deposit and the next opening gather), plus the current
-    # deposit at the half-step positions of each checkpoint after t = 0
-    calls = []
-    setup = kernels.cic_setup
+    # setups are built at t = 0 and for the current deposit at the half-step
+    # positions of each checkpoint after t = 0; each step refills the t = 0
+    # setup in place with the drifted positions (shared by the closing
+    # gather, the deposit and the next opening gather), one row per ion
+    calls, filled = [], []
+    setup, fill = kernels.cic_setup, kernels.fill_setup
 
     def counted(*args):
         calls.append(args[0].shape)
         return setup(*args)
 
+    def counted_fill(pos, *args):
+        filled.append(pos.shape[0])
+        return fill(pos, *args)
+
     monkeypatch.setattr(kernels, "cic_setup", counted)
+    monkeypatch.setattr(kernels, "fill_setup", counted_fill)
     cfg = small_scenario(time=TimeSpec(dt=0.01, t_end=0.05, checkpoint_every=2))
     runner.run(cfg, tmp_path / "run")
     steps, checkpoints_after_t0 = 5, 3  # checkpoints at steps 2, 4 and 5
-    assert len(calls) == 1 + steps + checkpoints_after_t0
+    assert len(calls) == 1 + checkpoints_after_t0
     assert set(calls) == {(cfg.count, 3)}
+    # cic_setup fills its new setup through fill_setup too
+    assert sum(filled) == (len(calls) + steps) * cfg.count
 
 
 def test_seed_override_changes_the_series(tmp_path):
@@ -206,6 +214,27 @@ def test_escaped_mass_gate_persists_then_raises(tmp_path):
     assert "exceeds gate" in meta["error"]
     series = diagnostics.read_timeseries(out / runner.TIMESERIES_NAME)
     assert len(series["t"]) >= 1  # rows up to the abort are preserved
+
+
+def test_verify_fails_an_aborted_run(tmp_path):
+    # the gate trips at step 11, after enough checkpoints for every check to
+    # pass on the rows recorded before the abort
+    spatial = SpatialProfile(kind="gaussian", scale=0.3, center=(0.0, 0.0, 0.0))
+    cfg = small_scenario(
+        grid=GridSpec(half_width=2.0, nodes=16),
+        time=TimeSpec(dt=0.02, t_end=1.0, checkpoint_every=1),
+        init=InitialDistributionSpec(kind="maxwellian", spatial=spatial, sigma=3.0),
+        g_profile=spatial,
+        max_escaped_frac=0.01,
+    )
+    out = tmp_path / "aborted"
+    with pytest.raises(runner.EscapedMassError, match="at step 11 "):
+        runner.run(cfg, out)
+    report = runner.verify_path(out)
+    assert report["checks"]["verdict"] == "pass"
+    assert report["status"] == "escaped-mass-gate"
+    assert "exceeds gate" in report["error"]
+    assert report["verdict"] == "fail"
 
 
 def test_field_snapshots_written_when_requested(tmp_path):

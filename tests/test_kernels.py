@@ -337,26 +337,48 @@ def test_blocked_push_matches_unblocked_push_bitwise(monkeypatch, block):
         _ref_push(*ref[:3], egrid, 0.01, *ref[3:])
         for a, b in zip(got, ref):
             assert (a == b)[~np.isnan(b)].all() and (np.isnan(a) == np.isnan(b)).all()
-        for a, b in zip(cic[0], kernels.cic_setup(ref[0], X0, H, NODES)):
+        for a, b in zip(cic, kernels.cic_setup(ref[0], X0, H, NODES)):
             assert (a == b).all()
 
 
-def test_push_working_memory_is_the_new_setup_plus_a_block():
-    # a whole-array push (the unblocked kernels) peaked at 26.7 MB here, this one at 8.2 MB
+def test_push_working_memory_is_the_field_grid_plus_a_block():
+    # a whole-array push (the unblocked kernels) peaked at 26.7 MB here; a
+    # push that built a second setup and kept |E1| per ion, 10.1 MB
     rng = np.random.default_rng(5)
     n = 200_000
     pos = rng.uniform(-1.1 * L, 1.1 * L, (n, 3))
     vel = rng.standard_normal((n, 3))
     fint, xm, vm = np.zeros(n), np.empty_like(pos), np.empty_like(vel)
     egrid = rng.standard_normal((NODES,) * 3 + (3,))
-    cic = [_setup(pos)]
+    cic = _setup(pos)
     tracemalloc.start()
     try:
         kernels.push_kdk(pos, vel, fint, egrid, X0, H, 0.01, xm, vm, cic)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    setup = sum(a.nbytes for a in cic[0])
-    # the new setup, |E1| per ion, the component-major E grid, and per block
-    # particle the gathered E, its kick and drift temporaries (94 bytes measured)
-    assert peak <= setup + 8 * n + egrid.nbytes + 128 * kernels.BLOCK
+    # the setup is refilled in place, so only the component-major E grid and,
+    # per block particle, the gathered E, its kick and drift temporaries and
+    # the refill's (121 bytes measured) remain
+    assert peak <= egrid.nbytes + 128 * kernels.BLOCK
+
+
+def test_push_gathers_twice_per_block(monkeypatch):
+    # 2.5 blocks: the opening and closing gather of each of three blocks
+    block = 64
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    n = 5 * block // 2
+    pos = RNG.uniform(-1.1 * L, 1.1 * L, (n, 3))
+    vel = RNG.standard_normal((n, 3))
+    calls = []
+    gather = kernels.gather_vec
+
+    def counted(*args):
+        calls.append(args[1][0].shape[0])
+        return gather(*args)
+
+    monkeypatch.setattr(kernels, "gather_vec", counted)
+    egrid = RNG.standard_normal((NODES,) * 3 + (3,))
+    xm, vm = np.empty_like(pos), np.empty_like(vel)
+    kernels.push_kdk(pos, vel, np.zeros(n), egrid, X0, H, 0.01, xm, vm)
+    assert calls == [block, block, block, block, block // 2, block // 2]
