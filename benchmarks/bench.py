@@ -15,13 +15,16 @@ times steps over it. BLAS runs on one thread unless the environment already
 sets ``OPENBLAS_NUM_THREADS``.
 
 The result goes to ``benchmarks/BENCH_<label>.json``: the median, min and
-max of both metrics over the repeats, each repeat's values, and nproc, the
-numpy and scipy versions and ``kernels.BACKEND``.
+max of both metrics over the repeats, each repeat's values, ``peak_rss_mb``,
+and nproc, the numpy and scipy versions and ``kernels.BACKEND``.
+``peak_rss_mb`` is the process's ``ru_maxrss`` read after the last repeat,
+so it is the maximum over all repeats (and the imports), in MB of 1024 KiB.
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -74,6 +77,7 @@ def main(argv=None):
             walls.append(time.perf_counter() - start)
         print(f"repeat {k + 1}/{args.repeats}: {walls[-1]:.3f} s", file=sys.stderr)
     rates = [cfg.count * STEPS / w for w in walls]
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     result = {
         "label": args.label,
@@ -86,6 +90,7 @@ def main(argv=None):
         "repeats": args.repeats,
         "wall_s": dict(_summary(walls), runs=walls),
         "ion_steps_per_s": dict(_summary(rates), runs=rates),
+        "peak_rss_mb": peak_rss_mb,
         "nproc": os.cpu_count(),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "numpy": numpy.__version__,
@@ -94,7 +99,7 @@ def main(argv=None):
     }
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps({k: result[k] for k in ("label", "wall_s", "ion_steps_per_s")}))
+    print(json.dumps({k: result[k] for k in ("label", "wall_s", "ion_steps_per_s", "peak_rss_mb")}))
     return 0
 
 

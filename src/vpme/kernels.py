@@ -50,9 +50,12 @@ weights would pair them differently. No output depends on BLOCK
 Working memory per particle: the setup, about 33 bytes for every particle,
 escaped ones included, lives the whole run, because the push refills each
 block's rows in place with the setup of the drifted positions; the deposits
-add the zero-padded weights (8 bytes). Everything else is per block: about
-121 bytes per block particle in the push, refill included, so 2 MB at
-BLOCK = 16384, whatever the particle count. BLOCK was chosen from 16384, 32768 and 65536
+add the zero-padded weights (8 bytes). On checkpoint steps only, the push
+also fills the midpoint outputs, 57 bytes per particle: a setup of the
+half-step positions and the half-step velocities, which the current deposit
+reads. Everything else is per block: about 121 bytes per block particle in
+the push, refill and midpoint outputs included, so 2 MB at BLOCK = 16384,
+whatever the particle count. BLOCK was chosen from 16384, 32768 and 65536
 on the three benchmark workloads (CHANGES.md): the kernel times did not
 move beyond noise, and dense-ions' peak RSS rose with the block, 145.7,
 146.1 and 147.5 MB.
@@ -77,18 +80,24 @@ def block_slices(n):
     return [slice(a, a + BLOCK) for a in range(0, n, BLOCK)]
 
 
+def empty_setup(n):
+    """Unfilled setup arrays for ``n`` particles: (in-box mask, base, (n, 3) fractions)."""
+    # the largest array first: with the run's setup built once and a fresh
+    # one only for a checkpoint's midpoint outputs, peak RSS read
+    # 131.7-132.1 MB (dense-ions) and 96.5-96.7 MB (baseline) this way,
+    # 132.0-132.1 and 96.4-98.5 MB mask first (CHANGES.md)
+    frac = np.empty((n, 3))
+    base = np.empty(n, dtype=np.int64)
+    inbox = np.empty(n, dtype=bool)
+    return inbox, base, frac
+
+
 def cic_setup(pos, x0, h, nodes):
     """CIC setup of ``pos``: (in-box mask, flat base node index, (n, 3) fractions).
 
     One row per particle, filled block by block by ``fill_setup``.
     """
-    # the largest array first, so that it takes the hole the last setup left:
-    # with only the checkpoint current building a setup after t = 0,
-    # dense-ions' peak RSS read 140.8-141.0 MB this way, 141.1-141.3 mask first
-    frac = np.empty((len(pos), 3))
-    base = np.empty(len(pos), dtype=np.int64)
-    inbox = np.empty(len(pos), dtype=bool)
-    cic = inbox, base, frac
+    cic = empty_setup(len(pos))
     for sl, blk in blocks(cic):
         fill_setup(pos[sl], x0, h, nodes, blk)
     return cic
@@ -220,7 +229,7 @@ def gather_vec(grid, cic, out):
     return out
 
 
-def push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid, cic=None):
+def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
     """One kick-drift-kick step in place, in one pass over the blocks; returns ``cic``.
 
     ``cic`` is the setup of ``pos`` (built when None). Each block gathers E
@@ -229,6 +238,10 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid, cic=None):
     return ``cic`` is the setup of the drifted ``pos``. Both kicks read the
     same frozen field and a block's rows are refilled only after its
     opening gather, so the result is that of two whole-array passes.
+
+    ``mid``, when given, is a pair (setup arrays, (n, 3) array) that
+    receives the midpoint outputs: the setup of the half-step positions
+    ``pos + 0.5 dt v`` and the velocities ``v`` after the opening kick.
     """
     nodes = egrid.shape[0]
     if cic is None:
@@ -242,8 +255,10 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, xmid, vmid, cic=None):
         eb = gather_vec(grid, blk, e[: blk[0].shape[0]])
         v, p, f = vel[sl], pos[sl], fint[sl]
         v += 0.5 * dt * eb
-        vmid[sl] = v
-        xmid[sl] = p + 0.5 * dt * v
+        if mid is not None:
+            mid_cic, vmid = mid
+            vmid[sl] = v
+            fill_setup(p + 0.5 * dt * v, x0, h, nodes, tuple(a[sl] for a in mid_cic))
         p += dt * v
         n1 = np.sqrt(row_norm2(eb))
         fill_setup(p, x0, h, nodes, blk)

@@ -99,14 +99,10 @@ def deposit_density(ensemble, grid, cic=None):
     return ScalarField(grid, raw / grid.cell_volume)
 
 
-def current_from_arrays(positions, velocities, weights, grid):
+def current_from_arrays(cic, velocities, weights, grid):
+    """Trilinear-deposited current density of ``weights * velocities`` at the CIC setup ``cic``."""
     raw = np.zeros((grid.nodes,) * 3 + (3,))
-    kernels.deposit_vec(
-        kernels.cic_setup(positions, grid.origin, grid.spacing, grid.nodes),
-        weights,
-        velocities,
-        raw,
-    )
+    kernels.deposit_vec(cic, weights, velocities, raw)
     return VectorField(grid, raw / grid.cell_volume)
 
 

@@ -39,19 +39,19 @@ class TimeSpec:
         return max(1, round(self.t_end / self.dt))
 
 
-def step(ensemble, e, dt, xmid=None, vmid=None, cic=None):
+def step(ensemble, e, dt, cic=None, midpoint=False):
     """Advance one kick-drift-kick step in place in the field ``e`` (a VectorField).
 
-    ``xmid``/``vmid`` receive the half-step drift positions and velocities;
-    they feed the midpoint current deposit. ``cic`` is the CIC setup of the
-    current positions; on return it holds the setup of the drifted
-    positions. Each is allocated (the setup built) when omitted. Returns
-    ``(xmid, vmid, cic)``.
+    ``cic`` is the CIC setup of the current positions; on return it holds
+    the setup of the drifted positions (it is built when omitted). With
+    ``midpoint``, the step also allocates and fills the midpoint outputs
+    that feed the midpoint current deposit: the CIC setup of the half-step
+    drift positions and the half-step velocities. Returns ``(cic, mid)``,
+    ``mid`` being ``(midpoint setup, velocities)`` or None.
     """
-    if xmid is None:
-        xmid = np.empty_like(ensemble.positions)
-    if vmid is None:
-        vmid = np.empty_like(ensemble.velocities)
+    mid = None
+    if midpoint:
+        mid = kernels.empty_setup(ensemble.count), np.empty_like(ensemble.velocities)
     cic = kernels.push_kdk(
         ensemble.positions,
         ensemble.velocities,
@@ -60,11 +60,10 @@ def step(ensemble, e, dt, xmid=None, vmid=None, cic=None):
         e.grid.origin,
         e.grid.spacing,
         dt,
-        xmid,
-        vmid,
         cic,
+        mid,
     )
-    return xmid, vmid, cic
+    return cic, mid
 
 
 def stability_check(v2max, e, dt):

@@ -18,9 +18,11 @@ field snapshot is written when requested.
 
 One CIC setup per ion position: the runner builds the setup of the t = 0
 positions once, and each ``pusher.step`` refills it in place with the setup
-of the drifted positions, which the deposit then reads. Only the
-checkpoint's current deposit at the half-step positions builds a setup of
-its own.
+of the drifted positions, which the deposit then reads. On a checkpoint
+step the runner also asks the push for the midpoint outputs, the setup of
+the half-step positions and the half-step velocities; the current deposit
+reads them after the field solve, and they are dropped before the
+diagnostics are recorded.
 
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
@@ -164,15 +166,16 @@ def run(cfg, out_dir, seed=None):
         _checkpoint(0, 0.0)
 
         steps = cfg.time.steps
-        xmid = np.empty_like(ens.positions)
-        vmid = np.empty_like(ens.velocities)
         for n in range(1, steps + 1):
-            pusher.step(ens, sol.e, dt, xmid, vmid, cic)
+            checkpoint = n % cfg.time.checkpoint_every == 0 or n == steps
+            _, mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
             rho_prev, rho = rho, _deposit(n)
             if selfconsistent:
                 sol = fieldsolve.solve_field(rho, g, cfg.epsilon, warm=sol)
-            if n % cfg.time.checkpoint_every == 0 or n == steps:
-                j_mid = mesh.current_from_arrays(xmid, vmid, ens.weights, cfg.grid)
+            if checkpoint:
+                j_mid = mesh.current_from_arrays(*mid, ens.weights, cfg.grid)
+                # the midpoint outputs go before record allocates its own
+                mid = None
                 _checkpoint(n, diagnostics.continuity_residual(rho_prev, rho, j_mid, dt))
     except (EscapedMassError, fieldsolve.FieldSolveError) as exc:
         status = "escaped-mass-gate" if isinstance(exc, EscapedMassError) else "solver-failure"
@@ -297,7 +300,8 @@ def _sweep_report(path, ok, failed):
     else:
         fit = {"verdict": "insufficient-data", "usable_members": len(fit_points)}
     verdicts = [m["verdict"] for m in members] + [fit["verdict"]]
-    overall = "pass" if verdicts and all(v == "pass" for v in verdicts) else "fail"
+    # an aborted member fails the sweep, as an aborted run fails its own report
+    overall = "pass" if not failed and all(v == "pass" for v in verdicts) else "fail"
     return {
         "kind": "sweep",
         "members": members,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vpme import cli, diagnostics, fieldsolve, kernels, mesh, particles, runner
+from vpme import cli, diagnostics, fieldsolve, kernels, mesh, particles, pusher, runner
 from vpme.config import ConfigError, load_config
 from vpme.mesh import GridSpec
 from vpme.particles import InitialDistributionSpec
@@ -162,10 +162,10 @@ def test_particle_block_size_moves_no_output(tmp_path, monkeypatch):
 
 
 def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):
-    # setups are built at t = 0 and for the current deposit at the half-step
-    # positions of each checkpoint after t = 0; each step refills the t = 0
-    # setup in place with the drifted positions (shared by the closing
-    # gather, the deposit and the next opening gather), one row per ion
+    # the one setup is built at t = 0; each step refills it in place with the
+    # drifted positions (shared by the closing gather, the deposit and the
+    # next opening gather), and each checkpoint step after t = 0 also fills
+    # a midpoint setup of the half-step positions, one row per ion each
     calls, filled = [], []
     setup, fill = kernels.cic_setup, kernels.fill_setup
 
@@ -182,10 +182,30 @@ def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):
     cfg = small_scenario(time=TimeSpec(dt=0.01, t_end=0.05, checkpoint_every=2))
     runner.run(cfg, tmp_path / "run")
     steps, checkpoints_after_t0 = 5, 3  # checkpoints at steps 2, 4 and 5
-    assert len(calls) == 1 + checkpoints_after_t0
-    assert set(calls) == {(cfg.count, 3)}
+    assert calls == [(cfg.count, 3)]
     # cic_setup fills its new setup through fill_setup too
-    assert sum(filled) == (len(calls) + steps) * cfg.count
+    assert sum(filled) == (1 + steps + checkpoints_after_t0) * cfg.count
+
+
+def test_midpoint_outputs_only_on_checkpoint_steps(tmp_path, monkeypatch):
+    asked, deposited = [], []
+    step, current = pusher.step, mesh.current_from_arrays
+
+    def counted_step(*args, midpoint=False, **kwargs):
+        asked.append(midpoint)
+        return step(*args, midpoint=midpoint, **kwargs)
+
+    def counted_current(cic, *args):
+        deposited.append([a.shape[0] for a in cic])
+        return current(cic, *args)
+
+    monkeypatch.setattr(pusher, "step", counted_step)
+    monkeypatch.setattr(mesh, "current_from_arrays", counted_current)
+    cfg = small_scenario(time=TimeSpec(dt=0.01, t_end=0.05, checkpoint_every=2))
+    runner.run(cfg, tmp_path / "run")
+    # checkpoints at steps 2, 4 and 5
+    assert asked == [False, True, False, True, True]
+    assert deposited == [[cfg.count] * 3] * 3
 
 
 def test_seed_override_changes_the_series(tmp_path):
@@ -331,6 +351,37 @@ def test_sweep_records_a_solver_abort_and_verify_skips_the_member(tmp_path, monk
     report = runner.verify_path(out)
     assert [m["epsilon"] for m in report["members"]] == [1.0]
     assert report["skipped"] == [{"dir": "eps_0.8", "error": "forced failure at eps 0.8"}]
+
+
+def test_sweep_with_an_aborted_member_fails(tmp_path, monkeypatch):
+    # three members whose run reports and fit pass, and one stopped by the gate
+    runs = [
+        {"epsilon": eps, "dir": f"eps_{eps:g}", "status": "ok", "error": None}
+        for eps in (1.0, 0.7, 0.5)
+    ]
+    runs.append({"epsilon": 0.3, "dir": "eps_0.3", "status": "failed", "error": "gate"})
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / runner.SWEEP_INDEX_NAME).write_text(json.dumps({"kind": "sweep", "runs": runs}))
+
+    def passing_report(path, series):
+        return {
+            "epsilon": float(path.name[4:]),
+            "omega": 0.25,
+            "ehat_sup_max": 1.0,
+            "electron_norms_max": {"L1": 1.0},
+            "verdict": "pass",
+        }
+
+    series = {"q_tt": np.array([1.0]), "t": np.array([0.1])}
+    monkeypatch.setattr(diagnostics, "read_timeseries", lambda path: series)
+    monkeypatch.setattr(runner, "_run_report", passing_report)
+    monkeypatch.setattr(runner.verify, "fit_main_bound", lambda points, omega: {"verdict": "pass"})
+    report = runner.verify_path(out)
+    assert [m["verdict"] for m in report["members"]] == ["pass"] * 3
+    assert report["main_bound_fit"]["verdict"] == "pass"
+    assert report["skipped"] == [{"dir": "eps_0.3", "error": "gate"}]
+    assert report["verdict"] == "fail"
 
 
 def test_cli_sweep_fails_on_a_scenario_error(tmp_path, capsys):

@@ -257,13 +257,14 @@ def test_push_semantics_single_particle():
     p = pos.copy()
     v = vel.copy()
     fint = np.zeros(1)
-    xm = np.empty_like(p)
     vm = np.empty_like(v)
-    kernels.push_kdk(p, v, fint, egrid, X0, H, dt, xm, vm)
+    mid_cic = kernels.empty_setup(1)
+    kernels.push_kdk(p, v, fint, egrid, X0, H, dt, mid=(mid_cic, vm))
     assert np.allclose(p[0], x1, atol=1e-15)
     assert np.allclose(v[0], v1, atol=1e-15)
     assert np.allclose(vm[0], v_half, atol=1e-15)
-    assert np.allclose(xm[0], pos[0] + 0.5 * dt * v_half, atol=1e-15)
+    for a, b in zip(mid_cic, _setup((pos[0] + 0.5 * dt * v_half)[None, :])):
+        assert np.allclose(a, b, atol=1e-15)
     assert fint[0] == pytest.approx(fint_expect, abs=1e-15)
 
 
@@ -276,10 +277,8 @@ def test_push_repeat_is_bitwise_deterministic():
         p = pos.copy()
         v = vel.copy()
         fint = np.zeros(200)
-        xm = np.empty_like(p)
-        vm = np.empty_like(v)
         for _ in range(5):
-            kernels.push_kdk(p, v, fint, egrid, X0, H, 0.01, xm, vm)
+            kernels.push_kdk(p, v, fint, egrid, X0, H, 0.01)
         results.append((p.copy(), v.copy(), fint.copy()))
     for a, b in zip(*results):
         assert (a == b).all()
@@ -329,16 +328,19 @@ def test_blocked_push_matches_unblocked_push_bitwise(monkeypatch, block):
     monkeypatch.setattr(kernels, "BLOCK", block)
     pos, _, vel = _block_edge_cloud(block)
     egrid = RNG.standard_normal((NODES,) * 3 + (3,))
-    got = [pos.copy(), vel.copy(), np.zeros(len(pos)), np.empty_like(pos), np.empty_like(pos)]
-    ref = [a.copy() for a in got]
+    got = [pos.copy(), vel.copy(), np.zeros(len(pos))]
+    ref = [a.copy() for a in got] + [np.empty_like(pos), np.empty_like(pos)]
+    mid = kernels.empty_setup(len(pos)), np.empty_like(vel)
     cic = None
     for _ in range(3):
-        cic = kernels.push_kdk(*got[:3], egrid, X0, H, 0.01, *got[3:], cic)
+        cic = kernels.push_kdk(*got, egrid, X0, H, 0.01, cic, mid)
         _ref_push(*ref[:3], egrid, 0.01, *ref[3:])
-        for a, b in zip(got, ref):
+        for a, b in zip(got + [mid[1]], ref[:3] + ref[4:]):
             assert (a == b)[~np.isnan(b)].all() and (np.isnan(a) == np.isnan(b)).all()
-        for a, b in zip(cic, kernels.cic_setup(ref[0], X0, H, NODES)):
-            assert (a == b).all()
+        # the setups of the drifted and of the half-step positions
+        for got_cic, at in ((cic, ref[0]), (mid[0], ref[3])):
+            for a, b in zip(got_cic, kernels.cic_setup(at, X0, H, NODES)):
+                assert (a == b).all()
 
 
 def test_push_working_memory_is_the_field_grid_plus_a_block():
@@ -348,19 +350,24 @@ def test_push_working_memory_is_the_field_grid_plus_a_block():
     n = 200_000
     pos = rng.uniform(-1.1 * L, 1.1 * L, (n, 3))
     vel = rng.standard_normal((n, 3))
-    fint, xm, vm = np.zeros(n), np.empty_like(pos), np.empty_like(vel)
+    fint = np.zeros(n)
     egrid = rng.standard_normal((NODES,) * 3 + (3,))
     cic = _setup(pos)
+    mid = kernels.empty_setup(n), np.empty_like(vel)
+    peaks = []
     tracemalloc.start()
     try:
-        kernels.push_kdk(pos, vel, fint, egrid, X0, H, 0.01, xm, vm, cic)
-        peak = tracemalloc.get_traced_memory()[1]
+        # without and with the (preallocated) midpoint outputs
+        for m in (None, mid):
+            tracemalloc.reset_peak()
+            kernels.push_kdk(pos, vel, fint, egrid, X0, H, 0.01, cic, m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     # the setup is refilled in place, so only the component-major E grid and,
     # per block particle, the gathered E, its kick and drift temporaries and
     # the refill's (121 bytes measured) remain
-    assert peak <= egrid.nbytes + 128 * kernels.BLOCK
+    assert max(peaks) <= egrid.nbytes + 128 * kernels.BLOCK
 
 
 def test_push_gathers_twice_per_block(monkeypatch):
@@ -379,6 +386,5 @@ def test_push_gathers_twice_per_block(monkeypatch):
 
     monkeypatch.setattr(kernels, "gather_vec", counted)
     egrid = RNG.standard_normal((NODES,) * 3 + (3,))
-    xm, vm = np.empty_like(pos), np.empty_like(vel)
-    kernels.push_kdk(pos, vel, np.zeros(n), egrid, X0, H, 0.01, xm, vm)
+    kernels.push_kdk(pos, vel, np.zeros(n), egrid, X0, H, 0.01)
     assert calls == [block, block, block, block, block // 2, block // 2]

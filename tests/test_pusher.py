@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from vpme import mesh, pusher
+from vpme import kernels, mesh, pusher
 from vpme.mesh import GridSpec, ScalarField, VectorField
 from vpme.particles import ParticleEnsemble, q_star, q_tt
 from vpme.pusher import TimeSpec
@@ -112,14 +112,20 @@ def test_velocity_reversal_retraces_the_path():
 def test_midstep_outputs_feed_current_deposit():
     ens = _single([0.1, 0.2, -0.1], [0.5, -0.25, 0.0])
     zero = _constant_field([0.0, 0.0, 0.0])
-    xmid, vmid, cic = pusher.step(ens, zero, 0.1)
+    cic, (mid_cic, vmid) = pusher.step(ens, zero, 0.1, midpoint=True)
     # free streaming: midpoint is the half-step drift at constant velocity
-    assert np.allclose(xmid[0], [0.125, 0.1875, -0.1], atol=1e-14)
+    inbox, base, frac = kernels.cic_setup(
+        np.array([[0.125, 0.1875, -0.1]]), GRID.origin, GRID.spacing, GRID.nodes
+    )
+    assert (mid_cic[0] == inbox).all() and (mid_cic[1] == base).all()
+    assert np.allclose(mid_cic[2], frac, atol=1e-14 / GRID.spacing)
     assert np.allclose(vmid[0], [0.5, -0.25, 0.0], atol=1e-14)
     # the returned setup is that of the drifted position
     _, _, frac = cic
     s = (ens.positions[0] - GRID.origin) / GRID.spacing
     assert np.array_equal(frac[0], s - np.floor(s))
+    # without midpoint, a step allocates no midpoint outputs
+    assert pusher.step(ens, zero, 0.1)[1] is None
 
 
 def test_stability_advisories():
