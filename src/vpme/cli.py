@@ -62,7 +62,12 @@ def _cmd_sweep(args):
     if not epsilons:
         raise _config.ConfigError(f"--epsilon {args.epsilon!r} parses to an empty list")
     index_path = runner.sweep(cfg, epsilons, args.out)
-    print(f"sweep ok: {index_path}")
+    # a failed member is recorded in the index and fails `vpme verify`, so
+    # the sweep itself still exits 0
+    ok, failed = runner._sweep_members(index_path.parent)
+    for entry in failed:
+        print(f"vpme: sweep member {entry['dir']} failed: {entry['error']}", file=sys.stderr)
+    print(f"sweep: {len(ok)} of {len(ok) + len(failed)} members completed: {index_path}")
     return EXIT_OK
 
 

@@ -23,20 +23,16 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .mesh import GridSpec
-from .particles import InitialDistributionSpec
+from .particles import INIT_KINDS, InitialDistributionSpec
 from .profiles import SpatialProfile
 from .pusher import TimeSpec
 
 FIELD_MODES = ("selfconsistent", "off")
-# accepted aliases for the power-law tail kind
-_KIND_ALIASES = {
-    "maxwellian": "maxwellian",
-    "power_law": "power_law",
-    "power-law-decay": "power_law",
-    "cold_lattice": "cold_lattice",
-}
+# the accepted alias of a particles.INIT_KINDS name
+_KIND_ALIASES = {"power-law-decay": "power_law"}
 BOX_MASS_TOL = 1e-6
 
 
@@ -152,73 +148,51 @@ def _fmt_vec(v):
     return " ".join(repr(float(c)) for c in v)
 
 
-def _parse_vec(text, where):
+def _parse_vec(text):
     parts = text.split()
     if len(parts) != 3:
-        raise ConfigError(f"{where}: expected 3 components, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValueError(f"expected 3 components, got {text!r}")
+    return tuple(float(p) for p in parts)
 
 
-class _Section:
-    """Typed accessors over one INI section with config-flavored errors."""
-
-    def __init__(self, parser, name):
-        self.name = name
-        self.sec = parser[name] if parser.has_section(name) else {}
-
-    def _get(self, key, cast, default):
-        raw = self.sec.get(key)
-        if raw is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-            return default
-        try:
-            return cast(raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key}: {exc}") from exc
-
-    def flt(self, key, default=None):
-        return self._get(key, float, _REQUIRED if default is None else default)
-
-    def integer(self, key, default=None):
-        return self._get(key, int, _REQUIRED if default is None else default)
-
-    def text(self, key, default=None):
-        return self._get(key, str.strip, _REQUIRED if default is None else default)
-
-    def vec(self, key, default):
-        return self._get(key, lambda s: _parse_vec(s, f"[{self.name}] {key}"), default)
-
-    def boolean(self, key, default):
-        raw = self.sec.get(key)
-        if raw is None:
-            return default
-        val = raw.strip().lower()
-        if val in ("1", "true", "yes", "on"):
-            return True
-        if val in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: not a boolean: {raw!r}")
+def _parse_bool(text):
+    val = text.strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 _REQUIRED = object()
 
 
-def _profile_from(sec):
-    kind = sec.text("profile")
+def _read(parser, section, key, parse=float, default=_REQUIRED):
+    """``parse`` of ``[section] key``, or ``default`` when the key or section is absent.
+
+    A missing required key and a ValueError from ``parse`` become a
+    ConfigError naming the section and key.
+    """
+    raw = parser.get(section, key, fallback=None)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"[{section}] is missing required key {key!r}")
+        return default
     try:
-        return SpatialProfile(
-            kind=kind,
-            scale=sec.flt("profile_scale"),
-            center=sec.vec("profile_center", (0.0, 0.0, 0.0)),
-        )
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{sec.name}]: {exc}") from exc
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
+def _profile_from(parser, section):
+    get = partial(_read, parser, section)
+    kind = get("profile", str.strip)
+    scale = get("profile_scale")
+    center = get("profile_center", _parse_vec, (0.0, 0.0, 0.0))
+    try:
+        return SpatialProfile(kind=kind, scale=scale, center=center)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
 
 
 def load_config(path):
@@ -231,52 +205,45 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    grid_sec = _Section(parser, "grid")
-    field_sec = _Section(parser, "field")
-    time_sec = _Section(parser, "time")
-    part_sec = _Section(parser, "particles")
-    bg_sec = _Section(parser, "background")
-    diag_sec = _Section(parser, "diagnostics")
-    run_sec = _Section(parser, "run")
-
+    get = partial(_read, parser)
     try:
-        grid = GridSpec(half_width=grid_sec.flt("half_width"), nodes=grid_sec.integer("nodes"))
+        grid = GridSpec(half_width=get("grid", "half_width"), nodes=get("grid", "nodes", int))
         time = TimeSpec(
-            dt=time_sec.flt("dt"),
-            t_end=time_sec.flt("t_end"),
-            checkpoint_every=time_sec.integer("checkpoint_every", 100),
+            dt=get("time", "dt"),
+            t_end=get("time", "t_end"),
+            checkpoint_every=get("time", "checkpoint_every", int, 100),
         )
-        raw_kind = part_sec.text("kind")
-        kind = _KIND_ALIASES.get(raw_kind)
-        if kind is None:
+        raw_kind = get("particles", "kind", str.strip)
+        kind = _KIND_ALIASES.get(raw_kind, raw_kind)
+        if kind not in INIT_KINDS:
             raise ConfigError(
                 f"[particles] kind: unknown kind {raw_kind!r}, "
-                f"expected one of {sorted(set(_KIND_ALIASES))}"
+                f"expected one of {sorted([*INIT_KINDS, *_KIND_ALIASES])}"
             )
         spatial = None
         if kind != "cold_lattice":
-            spatial = _profile_from(part_sec)
+            spatial = _profile_from(parser, "particles")
         init = InitialDistributionSpec(
             kind=kind,
             spatial=spatial,
-            sigma=part_sec.flt("sigma", 1.0),
-            r=part_sec.flt("r", 4.0),
-            v_max=part_sec.flt("v_max", 20.0),
-            m1=part_sec.flt("m1", 2.5),
+            sigma=get("particles", "sigma", float, 1.0),
+            r=get("particles", "r", float, 4.0),
+            v_max=get("particles", "v_max", float, 20.0),
+            m1=get("particles", "m1", float, 2.5),
         )
         return ScenarioConfig(
             grid=grid,
-            epsilon=field_sec.flt("epsilon"),
+            epsilon=get("field", "epsilon"),
             time=time,
-            count=part_sec.integer("count", 0 if kind == "cold_lattice" else None),
+            count=get("particles", "count", int, 0 if kind == "cold_lattice" else _REQUIRED),
             init=init,
-            drift=part_sec.vec("drift", (0.0, 0.0, 0.0)),
-            g_profile=_profile_from(bg_sec),
-            field_mode=field_sec.text("mode", "selfconsistent"),
-            seed=run_sec.integer("seed", 0),
-            omega=run_sec.flt("omega", 0.25),
-            max_escaped_frac=run_sec.flt("max_escaped_frac", 1e-3),
-            save_fields=diag_sec.boolean("save_fields", False),
+            drift=get("particles", "drift", _parse_vec, (0.0, 0.0, 0.0)),
+            g_profile=_profile_from(parser, "background"),
+            field_mode=get("field", "mode", str.strip, "selfconsistent"),
+            seed=get("run", "seed", int, 0),
+            omega=get("run", "omega", float, 0.25),
+            max_escaped_frac=get("run", "max_escaped_frac", float, 1e-3),
+            save_fields=get("diagnostics", "save_fields", _parse_bool, False),
         )
     except ConfigError:
         raise

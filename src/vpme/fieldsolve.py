@@ -43,8 +43,9 @@ slowest.
 
 Precision. The electron Newton's inner CG runs in float32 from end to end:
 the sine matrix, the shifted spectrum of M, the diagonal d and the CG
-vectors, on the right-hand side scaled to unit norm in float64 (so that
-float32 neither overflows nor underflows in its inner products). Everything
+vectors. ``_pcg`` scales the float64 right-hand side to unit norm before
+casting it to the dtype of d (so that float32 neither overflows nor
+underflows in its inner products) and returns x in float64. Everything
 that certifies the solution stays float64: the residuals F, G, H and the
 merit, the line search, the Schur complement, the contract and positivity
 checks, the Gauss audit and the whole ion solve, whose contract is 1e-10.
@@ -72,14 +73,16 @@ CONTRACT_RTOL = 1e-10
 NEWTON_TARGET_RTOL = 1e-13
 # inexact-Newton forcing term, also the tolerance of the mass border column.
 # With the centroid among the unknowns Newton contracts superlinearly, so the
-# step is limited by the linear solve: on the quasi-neutral workload shape
-# (32^3, 2e4 ions, seed 1234, eps 0.1) warm solves take 4 Newton steps and
-# 18-19 CG iterations at 1e-3, against 5 Newton steps at 1e-2. 1e-4 saves a
-# Newton step per warm solve there (3 / 18), but costs CG in total: Newton /
-# CG over 20 steps at eps 0.1 go 86 / 404 -> 80 / 494, over 10 steps at eps
-# 0.02 72 / 1271 -> 73 / 1663 and at eps 0.01 120 / 4353 -> 120 / 5544.
-# Those counts were taken with a float64 CG. With the float32 CG the 1e-3
-# totals read 86 / 404, 72 / 1308 and 120 / 4445; 1e-4 was not measured again
+# step is limited by the linear solve. Newton / CG totals of whole runs of
+# the quasi-neutral workload shape (32^3, 2e4 ions, seed 1234) with the
+# float32 CG, at forcing terms 1e-2, 1e-3 and 1e-4:
+#   eps 0.1,  20 steps:  106 / 381    86 / 404    80 / 494
+#   eps 0.02, 10 steps:   77 / 1020   72 / 1308   73 / 1725
+#   eps 0.01, 10 steps:  119 / 3166  120 / 4445  120 / 5780
+# At eps 0.1 a warm solve takes 4 Newton steps and 18-19 CG iterations at
+# 1e-3, against 4-5 steps at 1e-2 and 3-4 at 1e-4. 1e-4 costs CG at every
+# eps; 1e-2 saves CG at every eps but takes 23% more Newton steps at eps 0.1
+# and 7% more at 0.02
 NEWTON_CG_RTOL = 1e-3
 # the three centroid border columns only steer c: solving them to 1e-2
 # leaves every Newton step count on the workload shapes unchanged and saves
@@ -302,13 +305,25 @@ def _pcg(d, apply_minv, b, rtol):
     """Preconditioned CG on A x = b, A = M + diag(d), with M^-1 applied exactly.
 
     For z = M^-1 r, A z = r + d z, so A p follows p through the same update,
-    A p <- A z + beta A p, and no stencil is applied.
+    A p <- A z + beta A p, and no stencil is applied. The iteration runs in
+    the dtype of ``d``, which ``apply_minv`` keeps, on b scaled to unit
+    2-norm in float64: in float32 that keeps the inner products clear of
+    overflow for a large b and of underflow to a zero norm for a tiny one.
+    x comes back float64.
     """
-    x = np.zeros_like(b)
-    norm_b = math.sqrt(float(np.vdot(b, b)))
-    if norm_b == 0.0:
-        return x, 0
-    r = b.copy()
+    scale = math.sqrt(float(np.vdot(b, b)))
+    if not math.isfinite(scale):
+        raise FieldSolveError(
+            f"inner conjugate-gradient right-hand side has norm {scale}; "
+            "retry from a warm start near the solution",
+            residual=scale,
+            iterations=0,
+        )
+    if scale == 0.0:
+        return np.zeros(b.shape), 0
+    r = (b / scale).astype(d.dtype)
+    norm_b = math.sqrt(float(np.vdot(r, r)))
+    x = np.zeros_like(r)
     z = apply_minv(r)
     p = z.copy()
     ap = r + d * z
@@ -319,7 +334,7 @@ def _pcg(d, apply_minv, b, rtol):
         r -= alpha * ap
         res = math.sqrt(float(np.vdot(r, r)))
         if res <= rtol * norm_b:
-            return x, it
+            return np.multiply(x, scale, dtype=np.float64), it
         if not math.isfinite(res):
             raise FieldSolveError(
                 f"inner conjugate-gradient residual became {res} at iteration {it}; "
@@ -343,26 +358,6 @@ def _pcg(d, apply_minv, b, rtol):
         residual=rel,
         iterations=MAX_CG,
     )
-
-
-def _pcg_float32(d, apply_minv, b, rtol):
-    """``_pcg`` in float32 on the unit-norm float64 right-hand side b; x comes back float64.
-
-    ``d`` and ``apply_minv`` work in float32. Scaling b to unit 2-norm (in
-    float64) keeps the CG's float32 inner products clear of overflow for a
-    large b and of underflow to a zero norm for a tiny one.
-    """
-    scale = math.sqrt(float(np.vdot(b, b)))
-    if not math.isfinite(scale):
-        raise FieldSolveError(
-            f"inner conjugate-gradient right-hand side has norm {scale}; "
-            "retry from a warm start near the solution",
-            residual=scale,
-            iterations=0,
-        )
-    unit = (b / scale if scale > 0.0 else b).astype(np.float32)
-    x, it = _pcg(d, apply_minv, unit, rtol)
-    return np.multiply(x, scale, dtype=np.float64), it
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +452,9 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     Each Newton step builds the shifted spectrum of M = -eps^2 Lap_h +
     mean(w) once, in float32. Its DST inverse is exact (to float32
     rounding), so the CG needs only M^-1 and the diagonal d = w - mean(w):
-    A p is kept by recurrence, not applied. The CG runs in float32 on the
-    unit-norm right-hand side (``_pcg_float32``); every residual, the
-    line search and the Schur complement stay float64.
+    A p is kept by recurrence, not applied. ``_pcg`` runs the CG in float32
+    on the right-hand side scaled to unit norm; every residual, the line
+    search and the Schur complement stay float64.
     A CG that fails raises FieldSolveError naming eps, the Newton step, the
     solve (the residual or a border column), the CG iterations spent in
     this call and the reached relative residual.
@@ -515,7 +510,7 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None):
     def _solve(d, minv, rhs, rtol, what):
         nonlocal cg_total
         try:
-            x, it = _pcg_float32(d, minv, rhs, rtol)
+            x, it = _pcg(d, minv, rhs, rtol)
         except FieldSolveError as exc:
             raise FieldSolveError(
                 f"{exc} [electron Newton step {accepted + 1} at eps {epsilon:g}, {what}, "

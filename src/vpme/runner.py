@@ -244,7 +244,14 @@ def _sweep_members(path):
 def _run_report(path, series):
     fields = diagnostics.read_table(path / FIELD_TABLE_NAME, diagnostics.FIELD_COLUMNS)
     meta = _read_json(path / META_NAME)
-    checks = verify.run_checks(series, meta)
+    try:
+        checks = verify.run_checks(series, meta)
+    except ValueError as exc:
+        # an aborted run can stop before the checks have the rows they need;
+        # its report still records the abort
+        if meta["status"] == "ok":
+            raise
+        checks = {"error": str(exc), "verdict": "insufficient-data"}
     return {
         "kind": "run",
         "status": meta["status"],

@@ -102,6 +102,24 @@ def test_cold_lattice_canonical_round_trip(tmp_path):
         (("[background]\nprofile = gaussian", "[background]\nprofile = cube"), "profile kind"),
         (("count = 500", "count = 500\nprofile_center = nan 0 0"), "center must be finite"),
         (("\n[run]", "profile_center = inf 0 0\n[run]"), "center must be finite"),  # background
+        (("dt = 0.01\n", ""), r"^\[time\] is missing required key 'dt'$"),
+        (
+            ("[background]\nprofile = gaussian\nprofile_scale = 0.5\n", ""),
+            r"^\[background\] is missing required key 'profile'$",
+        ),
+        (
+            ("[background]\nprofile = gaussian\nprofile_scale = 0.5", "[background]\nprofile = gaussian"),
+            r"^\[background\] is missing required key 'profile_scale'$",
+        ),
+        (
+            ("checkpoint_every = 1", "checkpoint_every = 1.5"),
+            r"^\[time\] checkpoint_every: invalid literal for int\(\) with base 10: '1\.5'$",
+        ),
+        (("seed = 7", "seed = 7\nomega = x"), r"^\[run\] omega: could not convert string to float: 'x'$"),
+        (
+            ("count = 500", "count = 500\nprofile_center = 1 2"),
+            r"^\[particles\] profile_center: expected 3 components, got '1 2'$",
+        ),
     ],
 )
 def test_load_config_rejects(tmp_path, mangle, message):
@@ -236,25 +254,55 @@ def test_escaped_mass_gate_persists_then_raises(tmp_path):
     assert len(series["t"]) >= 1  # rows up to the abort are preserved
 
 
-def test_verify_fails_an_aborted_run(tmp_path):
-    # the gate trips at step 11, after enough checkpoints for every check to
-    # pass on the rows recorded before the abort
+def _aborted_at_step_11(out, checkpoint_every):
+    """Run a scenario whose escaped-mass gate trips at step 11."""
     spatial = SpatialProfile(kind="gaussian", scale=0.3, center=(0.0, 0.0, 0.0))
     cfg = small_scenario(
         grid=GridSpec(half_width=2.0, nodes=16),
-        time=TimeSpec(dt=0.02, t_end=1.0, checkpoint_every=1),
+        time=TimeSpec(dt=0.02, t_end=1.0, checkpoint_every=checkpoint_every),
         init=InitialDistributionSpec(kind="maxwellian", spatial=spatial, sigma=3.0),
         g_profile=spatial,
         max_escaped_frac=0.01,
     )
-    out = tmp_path / "aborted"
     with pytest.raises(runner.EscapedMassError, match="at step 11 "):
         runner.run(cfg, out)
+
+
+def test_verify_fails_an_aborted_run(tmp_path):
+    # the gate trips at step 11, after enough checkpoints for every check to
+    # pass on the rows recorded before the abort
+    out = tmp_path / "aborted"
+    _aborted_at_step_11(out, checkpoint_every=1)
     report = runner.verify_path(out)
     assert report["checks"]["verdict"] == "pass"
     assert report["status"] == "escaped-mass-gate"
     assert "exceeds gate" in report["error"]
     assert report["verdict"] == "fail"
+
+
+def test_verify_reports_a_run_aborted_before_ten_checkpoints(tmp_path, capsys):
+    # checkpoints at steps 0, 5 and 10 are too few for the time-growth check,
+    # but the abort alone fails the run
+    out = tmp_path / "aborted"
+    _aborted_at_step_11(out, checkpoint_every=5)
+    assert cli.main(["verify", "--path", str(out)]) == 0
+    assert "verdict: fail" in capsys.readouterr().out
+    report = json.loads((out / runner.REPORT_NAME).read_text())
+    assert report["status"] == "escaped-mass-gate"
+    assert "exceeds gate" in report["error"]
+    assert report["checks"] == {
+        "error": "time-growth check needs >= 10 checkpoints, got 3",
+        "verdict": "insufficient-data",
+    }
+    assert report["verdict"] == "fail"
+
+
+def test_verify_rejects_a_completed_run_with_too_few_checkpoints(tmp_path):
+    cfg = small_scenario(time=TimeSpec(dt=0.01, t_end=0.02, checkpoint_every=1))
+    out = runner.run(cfg, tmp_path / "short")
+    with pytest.raises(ValueError, match="needs >= 10 checkpoints, got 3"):
+        runner.verify_path(out)
+    assert not (out / runner.REPORT_NAME).exists()
 
 
 def test_field_snapshots_written_when_requested(tmp_path):
@@ -335,7 +383,7 @@ def test_sweep_needs_an_epsilon(tmp_path):
     assert not (tmp_path / "sweep").exists()
 
 
-def test_sweep_records_a_solver_abort_and_verify_skips_the_member(tmp_path, monkeypatch):
+def _fail_solves_below_eps_09(monkeypatch):
     solve = runner.fieldsolve.solve_field
 
     def fail_below_09(rho, g, epsilon, **kwargs):
@@ -344,6 +392,10 @@ def test_sweep_records_a_solver_abort_and_verify_skips_the_member(tmp_path, monk
         return solve(rho, g, epsilon, **kwargs)
 
     monkeypatch.setattr(runner.fieldsolve, "solve_field", fail_below_09)
+
+
+def test_sweep_records_a_solver_abort_and_verify_skips_the_member(tmp_path, monkeypatch):
+    _fail_solves_below_eps_09(monkeypatch)
     out = tmp_path / "sweep"
     index = json.loads(runner.sweep(small_scenario(count=800), [1.0, 0.8], out).read_text())
     assert [e["status"] for e in index["runs"]] == ["ok", "failed"]
@@ -351,6 +403,16 @@ def test_sweep_records_a_solver_abort_and_verify_skips_the_member(tmp_path, monk
     report = runner.verify_path(out)
     assert [m["epsilon"] for m in report["members"]] == [1.0]
     assert report["skipped"] == [{"dir": "eps_0.8", "error": "forced failure at eps 0.8"}]
+
+
+def test_cli_sweep_names_each_failed_member(tmp_path, capsys, monkeypatch):
+    _fail_solves_below_eps_09(monkeypatch)
+    ini = _small_ini(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(ini), "--epsilon", "1.0,0.8", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"sweep: 1 of 2 members completed: {out / runner.SWEEP_INDEX_NAME}\n"
+    assert captured.err == "vpme: sweep member eps_0.8 failed: forced failure at eps 0.8\n"
 
 
 def test_sweep_with_an_aborted_member_fails(tmp_path, monkeypatch):

@@ -207,7 +207,7 @@ def test_float32_inner_solve_reaches_the_same_residual_at_any_scale():
     b /= np.linalg.norm(b)
 
     def solved(norm):
-        x, it = fs._pcg_float32(d, minv, norm * b, fs.NEWTON_CG_RTOL)
+        x, it = fs._pcg(d, minv, norm * b, fs.NEWTON_CG_RTOL)
         assert x.dtype == np.float64
         # the true residual in float64, with the stencil operator
         res = norm * b + eps2 * fs._lap_interior(np.pad(x, 1), h) - w * x
@@ -227,8 +227,18 @@ def test_electron_cg_runs_in_float32_and_the_ion_solve_in_float64(monkeypatch):
     cg_dtypes, spectrum_dtypes = [], []
 
     def spy_pcg(d, apply_minv, b, rtol):
-        cg_dtypes.append((d.dtype, b.dtype, apply_minv(b).dtype))
-        return pcg(d, apply_minv, b, rtol)
+        # b arrives in float64; _pcg casts it and iterates in the dtype of d
+        minv_dtypes = set()
+
+        def spy_minv(r):
+            z = apply_minv(r)
+            minv_dtypes.add((r.dtype, z.dtype))
+            return z
+
+        out = pcg(d, spy_minv, b, rtol)
+        (minv_dtype,) = minv_dtypes
+        cg_dtypes.append((d.dtype, *minv_dtype))
+        return out
 
     def spy_inverse(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
