@@ -57,6 +57,10 @@ class SchemaError(ValueError):
     """A persisted table does not match its frozen schema."""
 
 
+class EmptyTableError(SchemaError):
+    """A persisted table has its header but no rows, as a run aborted at t = 0 leaves it."""
+
+
 def energy(weights, v2, field_solution, g, exp_u, e2):
     """Discrete energy functional split: (kinetic, field, electron, total).
 
@@ -192,7 +196,7 @@ def read_table(path, expected_columns=None):
         except ValueError as exc:
             raise SchemaError(f"{path}:{i}: non-numeric cell ({exc})") from exc
     if not data:
-        raise SchemaError(f"{path}: table has a header but no rows")
+        raise EmptyTableError(f"{path}: table has a header but no rows")
     arr = np.array(data)
     return {name: arr[:, j] for j, name in enumerate(header)}
 

@@ -21,14 +21,23 @@ not as an index: the deposits scatter the weights where the mask is set and
 zero elsewhere, and the gather zeroes the rows the mask leaves out. So the
 kernels know one index space, the particles'. `corner` gives one corner's
 (flat offset, weight) pair, `corners` all eight in order for the gather.
-Deposits scatter with np.add.at on the flattened array (one strided
-component view at a time for vectors), and the gather takes from one
-contiguous plane per component. Every node and particle component thus
-receives the same nonzero products in the same order as a per-corner
-(ix, iy, iz) fancy index over the in-box particles would give it, so the
-results are bitwise those of that formulation; tests/test_kernels.py keeps
-it as the oracle. An escaped particle adds a zero, which changes no bit,
-because a node starts at +0.0 and so never holds -0.0.
+A corner's offset is applied as a view, not added to the base nodes: a
+kernel indexes the flat array from the offset on (`flat[off:]`) with the
+base nodes themselves, so no per-corner index array is built and numpy
+still bounds-checks every index, against the shifted view. Deposits scatter
+with np.add.at into that view (one strided component view at a time for
+vectors), and the gather takes from one contiguous plane per component.
+The per-particle arrays that the kernels read or write one component at a
+time are stored component-major, as (n, 3) views of (3, n) arrays: the
+setup's fractions, the push's gathered E and the midpoint velocities
+(`pusher.step`), so each component is contiguous. Rows stay rows to every
+caller, and a row-major array works everywhere, only slower. Every node and
+particle component thus receives the same nonzero products in the same
+order as a per-corner (ix, iy, iz) fancy index over the in-box particles
+would give it, so the results are bitwise those of that formulation;
+tests/test_kernels.py keeps it as the oracle. An escaped particle adds a
+zero, which changes no bit, because a node starts at +0.0 and so never
+holds -0.0.
 
 The block rule: every kernel walks the particles in blocks of BLOCK
 consecutive particles, in particle order (`block_slices`), and `blocks`
@@ -53,12 +62,13 @@ block's rows in place with the setup of the drifted positions; the deposits
 add the zero-padded weights (8 bytes). On checkpoint steps only, the push
 also fills the midpoint outputs, 57 bytes per particle: a setup of the
 half-step positions and the half-step velocities, which the current deposit
-reads. Everything else is per block: about 121 bytes per block particle in
-the push, refill and midpoint outputs included, so 2 MB at BLOCK = 16384,
-whatever the particle count. BLOCK was chosen from 16384, 32768 and 65536
-on the three benchmark workloads (CHANGES.md): the kernel times did not
-move beyond noise, and dense-ions' peak RSS rose with the block, 145.7,
-146.1 and 147.5 MB.
+reads. Everything else is per block: about 100 bytes per block particle in
+the push, refill and midpoint outputs included (89 without them), so 1.7 MB
+at BLOCK = 16384, whatever the particle count; the gather accumulates
+straight into its output and needs no buffer of its own. BLOCK was chosen
+from 16384, 32768 and 65536 on the three benchmark workloads (CHANGES.md):
+the kernel times did not move beyond noise, and dense-ions' peak RSS rose
+with the block, 145.7, 146.1 and 147.5 MB.
 
 EDGE_TOL (in index units) absorbs the rounding of (x - x0)/h for particles
 sitting exactly on the box faces; without it a node-lattice particle at +L
@@ -81,12 +91,16 @@ def block_slices(n):
 
 
 def empty_setup(n):
-    """Unfilled setup arrays for ``n`` particles: (in-box mask, base, (n, 3) fractions)."""
+    """Unfilled setup arrays for ``n`` particles: (in-box mask, base, (n, 3) fractions).
+
+    The fractions are stored component-major: an (n, 3) view of a (3, n)
+    array, so each component ``frac[:, a]`` the weights read is contiguous.
+    """
     # the largest array first: with the run's setup built once and a fresh
-    # one only for a checkpoint's midpoint outputs, peak RSS read
-    # 131.7-132.1 MB (dense-ions) and 96.5-96.7 MB (baseline) this way,
-    # 132.0-132.1 and 96.4-98.5 MB mask first (CHANGES.md)
-    frac = np.empty((n, 3))
+    # one only for a checkpoint's midpoint outputs, dense-ions peak RSS read
+    # 131.6-131.9 MB this way and 131.5-132.1 MB mask first (three runs
+    # each, CHANGES.md), so the order is within noise there
+    frac = np.empty((3, n)).T
     base = np.empty(n, dtype=np.int64)
     inbox = np.empty(n, dtype=bool)
     return inbox, base, frac
@@ -162,16 +176,18 @@ def corners(frac, nodes):
 
 
 def _scatter_order(cic, weights, nodes):
-    """(particle slice, flat nodes, weighted corner weights) per block, corners outside blocks.
+    """(particle slice, corner offset, base nodes, weighted corner weights) per block, corners outside blocks.
 
-    An escaped particle's weight is zero, which moves no bit of the target.
+    A corner's nodes are ``base`` in the target's flat view shifted by the
+    offset. An escaped particle's weight is zero, which moves no bit of the
+    target.
     """
     w = np.where(cic[0], weights, 0.0)
     for k in range(8):
         for sl, (_, base, frac) in blocks(cic):
             off, cw = corner(frac, nodes, k)
             cw *= w[sl]
-            yield sl, base + off, cw
+            yield sl, off, base, cw
 
 
 def row_norm2(a):
@@ -193,38 +209,42 @@ def deposit(cic, weights, out):
     over the in-box weights alone (the module's block rule).
     """
     flat = _flat_view(out)
-    for _, at, cw in _scatter_order(cic, weights, out.shape[0]):
-        np.add.at(flat, at, cw)
+    for _, off, base, cw in _scatter_order(cic, weights, out.shape[0]):
+        np.add.at(flat[off:], base, cw)
     return float(weights[cic[0]].sum())
 
 
 def deposit_vec(cic, weights, vec, out):
     """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp); returns the in-box weight.
 
-    ``vec`` must be finite on escaped rows too: their zero weight times an
-    infinite or NaN component is NaN.
+    ``vec`` is read one component column per block: a component-major
+    ``vec`` (as ``pusher.step`` allocates the midpoint velocities) reads
+    contiguous memory, a row-major one gives the same bits. ``vec`` must be
+    finite on escaped rows too: their zero weight times an infinite or NaN
+    component is NaN.
     """
     flat = _flat_view(out).reshape(-1, vec.shape[1])
-    for sl, at, cw in _scatter_order(cic, weights, out.shape[0]):
+    for sl, off, base, cw in _scatter_order(cic, weights, out.shape[0]):
         for c in range(vec.shape[1]):
-            np.add.at(flat[:, c], at, cw * vec[sl, c])
+            np.add.at(flat[off:, c], base, cw * vec[sl, c])
     return float(weights[cic[0]].sum())
 
 
 def gather_vec(grid, cic, out):
     """Trilinear ``grid`` (N, N, N, ncomp) values at the setup ``cic`` into ``out``; zero outside.
 
+    Each block's rows of ``out`` are zeroed, then accumulate the eight
+    corners in place, one component column at a time: a component-major
+    ``out`` is written contiguously, a row-major one gets the same bits.
     Escaped rows gather node 0 and are then set to +0.0.
     """
     planes = [np.ascontiguousarray(grid[..., c]).reshape(-1) for c in range(grid.shape[3])]
     for sl, (inb, base, frac) in blocks(cic):
-        acc = np.zeros((len(planes), base.shape[0]))
-        for off, cw in corners(frac, grid.shape[0]):
-            at = base + off
-            for a, plane in zip(acc, planes):
-                a += cw * plane.take(at)
         block = out[sl]
-        block[:] = acc.T
+        block[:] = 0.0
+        for off, cw in corners(frac, grid.shape[0]):
+            for a, plane in zip(block.T, planes):
+                a += cw * plane[off:].take(base)
         block[~inb] = 0.0
     return out
 
@@ -242,13 +262,15 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
     ``mid``, when given, is a pair (setup arrays, (n, 3) array) that
     receives the midpoint outputs: the setup of the half-step positions
     ``pos + 0.5 dt v`` and the velocities ``v`` after the opening kick.
+    The gathered E goes to one component-major block buffer, which both
+    gathers of every block fill and the kicks and ``|E|`` read by column.
     """
     nodes = egrid.shape[0]
     if cic is None:
         cic = cic_setup(pos, x0, h, nodes)
     # component-major copy: each block's gather takes from its planes uncopied
     grid = np.moveaxis(np.ascontiguousarray(np.moveaxis(egrid, 3, 0)), 0, 3)
-    e = np.empty((min(pos.shape[0], BLOCK), 3))
+    e = np.empty((3, min(pos.shape[0], BLOCK))).T
     for sl, blk in blocks(cic):
         # gather_vec by its module-global name, so a wrapper installed there
         # sees both gathers of every block

@@ -242,16 +242,25 @@ def _sweep_members(path):
 
 
 def _run_report(path, series):
-    fields = diagnostics.read_table(path / FIELD_TABLE_NAME, diagnostics.FIELD_COLUMNS)
+    """The report of one run; ``series`` is None when it aborted before its first checkpoint."""
     meta = _read_json(path / META_NAME)
-    try:
-        checks = verify.run_checks(series, meta)
-    except ValueError as exc:
-        # an aborted run can stop before the checks have the rows they need;
-        # its report still records the abort
-        if meta["status"] == "ok":
-            raise
-        checks = {"error": str(exc), "verdict": "insufficient-data"}
+    fields = None
+    if series is None:
+        checks = {"error": "no checkpoint was recorded", "verdict": "insufficient-data"}
+    else:
+        fields = diagnostics.read_table(path / FIELD_TABLE_NAME, diagnostics.FIELD_COLUMNS)
+        try:
+            checks = verify.run_checks(series, meta)
+        except ValueError as exc:
+            # an aborted run can stop before the checks have the rows they need;
+            # its report still records the abort
+            if meta["status"] == "ok":
+                raise
+            checks = {"error": str(exc), "verdict": "insufficient-data"}
+
+    def field_max(column):
+        return None if fields is None else float(np.max(fields[column]))
+
     return {
         "kind": "run",
         "status": meta["status"],
@@ -263,16 +272,28 @@ def _run_report(path, series):
         "grid": meta["grid"],
         "time": meta["time"],
         "checks": checks,
-        "ehat_sup_max": float(np.max(fields["ehat_sup"])),
+        "ehat_sup_max": field_max("ehat_sup"),
         "electron_norms_max": {
-            "L1": float(np.max(fields["geU_L1"])),
-            "L2": float(np.max(fields["geU_L2"])),
-            "L3": float(np.max(fields["geU_L3"])),
-            "Linf": float(np.max(fields["geU_Linf"])),
+            "L1": field_max("geU_L1"),
+            "L2": field_max("geU_L2"),
+            "L3": field_max("geU_L3"),
+            "Linf": field_max("geU_Linf"),
         },
         # an aborted run fails whatever its recorded checkpoints show
         "verdict": checks["verdict"] if meta["status"] == "ok" else "fail",
     }
+
+
+def _run_series(path):
+    """A run's timeseries; None when the run aborted before its first checkpoint."""
+    try:
+        return diagnostics.read_timeseries(path / TIMESERIES_NAME)
+    except diagnostics.EmptyTableError:
+        # an abort at t = 0 leaves the tables' headers alone; a completed
+        # run always has rows
+        if _read_json(path / META_NAME)["status"] == "ok":
+            raise
+        return None
 
 
 def verify_path(path):
@@ -280,7 +301,7 @@ def verify_path(path):
     path = Path(path)
     members = _sweep_members(path)
     if members is None:
-        report = _run_report(path, diagnostics.read_timeseries(path / TIMESERIES_NAME))
+        report = _run_report(path, _run_series(path))
     else:
         report = _sweep_report(path, *members)
     verify.emit_report(report, path / REPORT_NAME)

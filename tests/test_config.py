@@ -297,6 +297,56 @@ def test_verify_reports_a_run_aborted_before_ten_checkpoints(tmp_path, capsys):
     assert report["verdict"] == "fail"
 
 
+def _verify_report_of_a_run_without_checkpoints(out, capsys):
+    # the tables hold their headers alone
+    for name in (runner.TIMESERIES_NAME, runner.FIELD_TABLE_NAME):
+        assert len((out / name).read_text().splitlines()) == 1
+    assert cli.main(["verify", "--path", str(out)]) == 0
+    assert "verdict: fail" in capsys.readouterr().out
+    report = json.loads((out / runner.REPORT_NAME).read_text())
+    assert report["checks"] == {"error": "no checkpoint was recorded", "verdict": "insufficient-data"}
+    assert report["ehat_sup_max"] is None
+    assert set(report["electron_norms_max"].values()) == {None}
+    assert report["verdict"] == "fail"
+    return report
+
+
+def test_verify_reports_a_run_aborted_by_the_solver_at_t0(tmp_path, capsys, monkeypatch):
+    def boom(*a, **k):
+        raise fieldsolve.FieldSolveError("forced failure")
+
+    monkeypatch.setattr(runner.fieldsolve, "solve_field", boom)
+    out = tmp_path / "aborted"
+    with pytest.raises(fieldsolve.FieldSolveError):
+        runner.run(small_scenario(count=500), out)
+    report = _verify_report_of_a_run_without_checkpoints(out, capsys)
+    assert report["status"] == "solver-failure"
+    assert report["error"] == "forced failure"
+    # a completed run always has rows, so for it an empty table is a schema error
+    meta_path = out / runner.META_NAME
+    meta_path.write_text(json.dumps(json.loads(meta_path.read_text()) | {"status": "ok"}))
+    with pytest.raises(diagnostics.SchemaError, match="no rows"):
+        runner.verify_path(out)
+
+
+def test_verify_reports_a_run_stopped_by_the_escaped_mass_gate_at_step_0(tmp_path, capsys):
+    # a wide ion cloud in a small box: the t = 0 deposit already trips the gate
+    wide = SpatialProfile(kind="gaussian", scale=1.5, center=(0.0, 0.0, 0.0))
+    cfg = small_scenario(
+        grid=GridSpec(half_width=2.0, nodes=16),
+        count=500,
+        init=InitialDistributionSpec(kind="maxwellian", spatial=wide, sigma=1.0),
+        g_profile=NARROW,
+        max_escaped_frac=0.01,
+    )
+    out = tmp_path / "aborted"
+    with pytest.raises(runner.EscapedMassError, match="at step 0 "):
+        runner.run(cfg, out)
+    report = _verify_report_of_a_run_without_checkpoints(out, capsys)
+    assert report["status"] == "escaped-mass-gate"
+    assert "exceeds gate" in report["error"]
+
+
 def test_verify_rejects_a_completed_run_with_too_few_checkpoints(tmp_path):
     cfg = small_scenario(time=TimeSpec(dt=0.01, t_end=0.02, checkpoint_every=1))
     out = runner.run(cfg, tmp_path / "short")

@@ -366,7 +366,7 @@ def test_push_working_memory_is_the_field_grid_plus_a_block():
         tracemalloc.stop()
     # the setup is refilled in place, so only the component-major E grid and,
     # per block particle, the gathered E, its kick and drift temporaries and
-    # the refill's (121 bytes measured) remain
+    # the refill's (100 bytes measured) remain
     assert max(peaks) <= egrid.nbytes + 128 * kernels.BLOCK
 
 
@@ -388,3 +388,52 @@ def test_push_gathers_twice_per_block(monkeypatch):
     egrid = RNG.standard_normal((NODES,) * 3 + (3,))
     kernels.push_kdk(pos, vel, np.zeros(n), egrid, X0, H, 0.01)
     assert calls == [block, block, block, block, block // 2, block // 2]
+
+
+def test_setup_fractions_are_component_major():
+    # each weight computation reads one fraction component; stored (3, n),
+    # every component is contiguous
+    pos, _, _ = _cloud(100)
+    for frac in (_setup(pos)[2], kernels.empty_setup(100)[2]):
+        assert frac.shape == (100, 3) and frac.T.flags.c_contiguous
+
+
+def test_gather_into_row_and_component_major_out_is_bitwise_equal(monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK", 64)
+    pos, _, _ = _block_edge_cloud(64)
+    cic = _setup(pos)
+    grid = RNG.standard_normal((NODES,) * 3 + (3,))
+    rows = np.full_like(pos, np.nan)
+    cols = np.full((3, len(pos)), np.nan).T
+    kernels.gather_vec(grid, cic, rows)
+    kernels.gather_vec(grid, cic, cols)
+    assert (rows == cols).all() and (rows == _ref_gather(grid, pos)).all()
+
+
+def test_deposit_vec_of_row_and_component_major_vec_is_bitwise_equal(monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK", 64)
+    pos, w, vec = _block_edge_cloud(64)
+    cic = _setup(pos)
+    outs = []
+    for v in (vec, np.ascontiguousarray(vec.T).T):
+        out = np.zeros((NODES,) * 3 + (3,))
+        kernels.deposit_vec(cic, w, v, out)
+        outs.append(out)
+    assert (outs[0] == outs[1]).all() and (outs[0] == _ref_deposit(pos, w, vec, NODES)[2]).all()
+
+
+def test_kernels_bounds_check_the_base_node():
+    # a base node whose upper corners lie past the grid: the corner offsets
+    # index shifted views, and numpy still checks every index against them
+    pos, w, vec = _cloud(50)
+    cic = _setup(pos)
+    cic[1][0] = NODES**3 - 1
+    grid = RNG.standard_normal((NODES,) * 3 + (3,))
+    with pytest.raises(IndexError):
+        kernels.deposit(cic, w, np.zeros((NODES,) * 3))
+    with pytest.raises(IndexError):
+        kernels.deposit_vec(cic, w, vec, np.zeros((NODES,) * 3 + (3,)))
+    with pytest.raises(IndexError):
+        kernels.gather_vec(grid, cic, np.empty_like(pos))
+    with pytest.raises(IndexError):
+        kernels.push_kdk(pos, vec, np.zeros(50), grid, X0, H, 0.01, cic)
