@@ -123,8 +123,11 @@ def fill_setup(pos, x0, h, nodes, cic):
     A particle outside the box, or at a NaN position, gets cell 0 with zero
     fractions; the kernels read its mask entry as a zero weight.
     """
-    inbox, base, frac = cic
-    s = np.subtract(pos, x0, out=frac)
+    inbox, base, s = cic
+    # one component at a time: a row-major pos into the component-major
+    # fractions in one operation took 206 of the 687 us per 16384-row block
+    for a in range(3):
+        np.subtract(pos[:, a], x0, out=s[:, a])
     s /= h
     ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
     inbox[:] = ok[:, 0] & ok[:, 1] & ok[:, 2]
@@ -276,7 +279,9 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
         # sees both gathers of every block
         eb = gather_vec(grid, blk, e[: blk[0].shape[0]])
         v, p, f = vel[sl], pos[sl], fint[sl]
-        v += 0.5 * dt * eb
+        # transposed, so the component-major kick meets the row-major v
+        # component by component (same bits, about half the time)
+        v.T[...] += (0.5 * dt * eb).T
         if mid is not None:
             mid_cic, vmid = mid
             vmid[sl] = v
@@ -285,7 +290,7 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
         n1 = np.sqrt(row_norm2(eb))
         fill_setup(p, x0, h, nodes, blk)
         gather_vec(grid, blk, eb)
-        v += 0.5 * dt * eb
+        v.T[...] += (0.5 * dt * eb).T
         f += 0.5 * dt * (n1 + np.sqrt(row_norm2(eb)))
     return cic
 

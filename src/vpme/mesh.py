@@ -162,22 +162,44 @@ def _ball_cell_average(profile, grid):
 # ---------------------------------------------------------------------------
 
 
-def _diff_axis(u, h, axis, out=None):
-    """Second-order difference of ``u`` along ``axis``, into ``out`` (same shape) if given."""
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u) if out is None else np.moveaxis(out, axis, 0)
-    inner = np.subtract(u[2:], u[:-2], out=out[1:-1])
-    inner /= 2.0 * h
+def _one_sided(u, h, axis, out):
+    """Second-order one-sided differences of ``u`` along ``axis`` on its two faces, into ``out``."""
+    u, out = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
     out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+
+
+def _diff_axis(u, h, axis, out=None):
+    """Second-order difference of ``u`` along ``axis``, into ``out`` (same shape) if given."""
+    out = np.empty_like(u) if out is None else out
+    um = np.moveaxis(u, axis, 0)
+    inner = np.subtract(um[2:], um[:-2], out=np.moveaxis(out, axis, 0)[1:-1])
+    inner /= 2.0 * h
+    _one_sided(u, h, axis, out)
+    return out
 
 
 def gradient(field):
-    """Second-order gradient of a ScalarField (central inside, one-sided on faces)."""
-    out = np.empty(field.values.shape + (3,))
-    for d in range(3):
-        out[..., d] = _diff_axis(field.values, field.grid.spacing, d)
+    """Second-order gradient of a ScalarField (central inside, one-sided on faces), (N, N, N, 3).
+
+    Flat index: the node (i, j, k) of the C-ordered grid is i N^2 + j N + k,
+    so its neighbours along axis d sit at the flat index plus or minus the
+    stride s = N^2, N or 1. The central difference along axis d is taken
+    for every flat index from s to N^3 - s at once, from two contiguous
+    slices of the flat values, and written straight into component d of the
+    output. The nodes on the two faces of axis d get a wrapped, meaningless
+    value there, which ``_one_sided`` then overwrites. The arithmetic of
+    every node is that of the per-axis differences, so the bits are too.
+    """
+    u = field.values
+    h = field.grid.spacing
+    n = u.shape[0]
+    flat = u.reshape(-1)
+    out = np.empty(u.shape + (3,))
+    rows = out.reshape(-1, 3)
+    for d, s in enumerate((n * n, n, 1)):
+        np.divide(flat[2 * s:] - flat[: -2 * s], 2.0 * h, out=rows[s:-s, d])
+        _one_sided(u, h, d, out[..., d])
     return out
 
 

@@ -254,9 +254,11 @@ def test_electron_cg_runs_in_float32_and_the_ion_solve_in_float64(monkeypatch):
     assert ubar.values.dtype == np.float64
     spectrum_dtypes.clear()
     hat = fs.solve_uhat(ubar, g, 0.5)
-    assert len(spectrum_dtypes) == hat.iterations
+    # one spectrum per Newton step and one at the converged state, where the
+    # four border columns are solved again
+    assert len(spectrum_dtypes) == hat.iterations + 1
     assert set(spectrum_dtypes) == {np.dtype(np.float32)}
-    assert len(cg_dtypes) == hat.iterations + 4
+    assert len(cg_dtypes) == hat.iterations + 8
     assert set(cg_dtypes) == {(np.dtype(np.float32),) * 3}
     assert hat.field.values.dtype == np.float64
     assert hat.border_columns.dtype == np.float32
@@ -473,10 +475,12 @@ def test_cold_solve_starts_from_the_screening_guess(eps):
     assert cold.history[0] == fs.solve_uhat(ub, g, eps, initial=guess).history[0]
 
 
-def test_border_column_is_solved_once_per_call(monkeypatch):
-    # one CG per Newton step for the residual, plus one for each of the four
-    # border columns (mass and centroid) at the first step of a cold solve;
-    # a solve warm-started from a FieldSolution reuses its columns
+def test_border_columns_are_refreshed_when_a_warm_solve_slows(monkeypatch):
+    # one CG per Newton step for the residual; a cold solve adds the four
+    # border columns (mass and centroid) at its first step and again at its
+    # converged state. A warm solve reuses the columns it is given; the first
+    # to take Newton steps on them sets the reference count, and a later one
+    # that needs more steps re-solves them into a new array
     pcg = fs._pcg
     calls = []
 
@@ -489,17 +493,57 @@ def test_border_column_is_solved_once_per_call(monkeypatch):
         calls.clear()
         cold = fs.solve_field(*problem(), eps)
         assert cold.newton_iterations > 1
-        assert len(calls) == cold.newton_iterations + 4
+        assert len(calls) == cold.newton_iterations + 8
+        assert cold.border_newton is None
     rho, g = _screened_problem()
-    calls.clear()
-    moved = fs.solve_field(ScalarField(rho.grid, 0.99 * rho.values), g, 0.05, warm=cold)
-    assert moved.newton_iterations > 0
-    assert len(calls) == moved.newton_iterations
-    assert moved.border_columns is cold.border_columns
-    calls.clear()
-    warm = fs.solve_field(rho, g, 0.05, warm=cold)
-    assert warm.newton_iterations == 0
+
+    def warm_solve(scale, warm):
+        calls.clear()
+        return fs.solve_field(ScalarField(rho.grid, scale * rho.values), g, 0.05, warm=warm)
+
+    first = warm_solve(0.99, cold)
+    assert first.newton_iterations > 0
+    assert len(calls) == first.newton_iterations
+    assert first.border_columns is cold.border_columns
+    assert first.border_newton == first.newton_iterations
+    within = warm_solve(0.99 * 0.999, first)
+    assert 0 < within.newton_iterations <= first.border_newton
+    assert len(calls) == within.newton_iterations
+    assert within.border_columns is cold.border_columns
+    assert within.border_newton == first.border_newton
+    carried = first.border_columns.copy()
+    slower = warm_solve(0.99 * 0.95, first)
+    assert slower.newton_iterations > first.border_newton
+    assert len(calls) == slower.newton_iterations + 4
+    assert slower.border_columns is not first.border_columns
+    assert slower.border_newton is None
+    assert np.array_equal(first.border_columns, carried)
+    # a warm solve with no Newton step makes no CG call and sets no count
+    still = warm_solve(1.0, cold)
+    assert still.newton_iterations == 0
     assert calls == []
+    assert still.border_newton is None
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_cold_solve_returns_border_columns_of_its_converged_state(eps):
+    # the columns a cold solve hands to the next solve are A^-1 B at the
+    # converged w, to their CG tolerance; those of the screening guess, which
+    # its first Newton step solves, miss it by far at eps 0.05. Checked in
+    # float64: B_k against (M + diag(d)) Z_k, M Z = dstn(lam dstn(Z))
+    rho, g = _screened_problem()
+    grid = rho.grid
+    h, eps2 = grid.spacing, eps**2
+    hat = fs.solve_uhat(fs.solve_ubar(rho, eps), g, eps)
+    w = hat.source[1:-1, 1:-1, 1:-1]
+    shift = float(w.mean())
+    lam = eps2 * fs._neg_lap_eigs(w.shape[0], h) + shift
+    kd = fs._face_kernel(grid, fs._centroid(hat.source, grid), eps2)
+    rtols = [fs.NEWTON_CG_RTOL] + [fs.CENTROID_COLUMN_RTOL] * 3
+    for k, col in enumerate(hat.border_columns.astype(np.float64)):
+        b = eps2 * fs._fold_boundary(np.zeros(w.shape), fs._on_faces(grid, kd[k]), h)
+        applied = fs.dstn(lam * fs.dstn(col)) + (w - shift) * col
+        assert np.linalg.norm(b - applied) <= 2.0 * rtols[k] * np.linalg.norm(b)
 
 
 def test_warm_chain_reaches_the_cold_solutions():
@@ -632,11 +676,15 @@ def test_cg_cap_names_eps_newton_step_iterations_and_residual(monkeypatch):
         (2, "border column c_x"),
         (3, "border column c_y"),
         (4, "border column c_z"),
+        (10, "border column mu at the converged state"),
+        (13, "border column c_z at the converged state"),
     ],
 )
 def test_cg_failure_names_the_failing_solve(monkeypatch, failing, solve):
     # a cold solve's first Newton step runs the residual solve, then the
-    # border columns in the order mu, c_x, c_y, c_z
+    # border columns in the order mu, c_x, c_y, c_z; this one converges in 6
+    # steps and then solves the columns again, named after its last step
+    step = 6 if solve.endswith("converged state") else 1
     rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
     pcg = fs._pcg
@@ -651,7 +699,7 @@ def test_cg_failure_names_the_failing_solve(monkeypatch, failing, solve):
     monkeypatch.setattr(fs, "_pcg", fail_once)
     with pytest.raises(fs.FieldSolveError, match="forced CG failure") as info:
         fs.solve_uhat(ub, g, 0.5)
-    assert f"[electron Newton step 1 at eps 0.5, {solve}, " in str(info.value)
+    assert f"[electron Newton step {step} at eps 0.5, {solve}, " in str(info.value)
     assert info.value.iterations == 7
 
 
@@ -696,6 +744,20 @@ def test_pcg_returns_zero_for_a_zero_right_hand_side():
     x, iterations = fs._pcg(np.ones_like(b), fs._shifted_lap_inverse(6, 0.5, 1.0, 1.0), b, 1e-2)
     assert iterations == 0
     assert (x == 0.0).all()
+
+
+def test_pcg_raises_on_a_non_finite_residual_with_its_iteration():
+    # an infinite diagonal entry makes A p infinite there: alpha comes out
+    # zero, and 0 * inf turns the updated residual into NaN at iteration 1
+    d = np.ones((6, 6, 6))
+    d[2, 3, 4] = np.inf
+    b = np.random.default_rng(2).standard_normal(d.shape)
+    minv = fs._shifted_lap_inverse(6, 0.5, 1.0, 1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(fs.FieldSolveError, match="residual became nan at iteration 1") as info:
+            fs._pcg(d, minv, b, 1e-2)
+    assert info.value.iterations == 1
+    assert math.isnan(info.value.residual)
 
 
 @pytest.mark.parametrize(
