@@ -562,6 +562,22 @@ def test_warm_chain_reaches_the_cold_solutions():
             assert np.abs(warm.uhat.values - cold.uhat.values).max() <= 1e-12 * scale
 
 
+def test_newton_stops_at_the_first_iterate_that_meets_the_certificates():
+    # a cold solve and a warm one stop as soon as |F|_inf is CERTIFICATE_MARGIN
+    # times under the contract and the Gauss defect as far under its gate: no
+    # step past that, which would only push the residual to round-off
+    rho, g = _screened_problem()
+    cold = fs.solve_field(rho, g, 0.05)
+    warm = fs.solve_field(ScalarField(rho.grid, 0.999 * rho.values), g, 0.05, warm=cold)
+    for sol in (cold, warm):
+        scale = max(1.0, float((g.values * np.exp(sol.u.values)).max()))
+        target = fs.CONTRACT_RTOL * scale / fs.CERTIFICATE_MARGIN
+        *before, last = sol.newton_history
+        assert len(before) == sol.newton_iterations > 0
+        assert last <= target < min(before)
+        assert abs(sol.gauss_imbalance) <= fs.GAUSS_GATE / fs.CERTIFICATE_MARGIN
+
+
 def test_forcing_term_changes_the_path_not_the_answer(monkeypatch):
     rho, g = _screened_problem()
     mass = float(rho.values.sum()) * rho.grid.cell_volume
@@ -718,17 +734,16 @@ def test_ascent_direction_raises_line_search_stagnated(monkeypatch):
     assert re.search(r"mass imbalance \S+, centroid residual \d\.\d{3}e[+-]\d+\)", str(info.value))
 
 
-def test_unreachable_target_returns_through_the_contract_fallback(monkeypatch):
+def test_unreachable_margin_raises_line_search_stagnated_under_the_contract(monkeypatch):
+    # with an infinite margin no iterate is certified: Newton runs to the
+    # round-off floor, far under the contract, and the stagnated line search
+    # raises there instead of returning the iterate
     rho, g = _small_problem()
     ub = fs.solve_ubar(rho, 0.5)
-    reference = fs.solve_uhat(ub, g, 0.5)
-    # with a zero target Newton runs to the round-off floor, where the line
-    # search stagnates and the contract residual lets the iterate through
-    monkeypatch.setattr(fs, "NEWTON_TARGET_RTOL", 0.0)
-    floor = fs.solve_uhat(ub, g, 0.5)
-    assert floor.residual <= fs.CONTRACT_RTOL
-    assert floor.iterations >= reference.iterations
-    assert np.abs(floor.field.values - reference.field.values).max() <= 1e-10
+    monkeypatch.setattr(fs, "CERTIFICATE_MARGIN", math.inf)
+    with pytest.raises(fs.FieldSolveError, match="line search stagnated") as info:
+        fs.solve_uhat(ub, g, 0.5)
+    assert info.value.residual <= fs.CONTRACT_RTOL
 
 
 def test_zero_contract_makes_the_ion_solve_stall(monkeypatch):
@@ -764,15 +779,23 @@ def test_pcg_raises_on_a_non_finite_residual_with_its_iteration():
     "constant, value, message",
     [
         ("UHAT_POSITIVE_TOL", -1.0, "came out positive"),
-        ("GAUSS_GATE", 0.0, "Gauss-identity defect"),
     ],
 )
 def test_broken_invariant_raises(monkeypatch, constant, value, message):
-    # the converged electron potential is negative and its Gauss defect is a
-    # few ulps, so only a tolerance moved past them trips either check
+    # the converged electron potential is negative, so only a tolerance moved
+    # past it trips the check
     rho, g = _small_problem()
     monkeypatch.setattr(fs, constant, value)
     with pytest.raises(fs.FieldSolveError, match=message):
+        fs.solve_field(rho, g, 0.5)
+
+
+def test_gauss_defect_over_the_gate_raises(monkeypatch):
+    # Newton stops with the defect far under the gate, so the audit is fed
+    # one over it; a zero gate would stall Newton before the audit runs
+    rho, g = _small_problem()
+    monkeypatch.setattr(fs, "gauss_imbalance", lambda *args: 2.0 * fs.GAUSS_GATE)
+    with pytest.raises(fs.FieldSolveError, match="Gauss-identity defect"):
         fs.solve_field(rho, g, 0.5)
 
 
