@@ -82,7 +82,7 @@ def field_table_row(t, field_solution, e2, g_exp_u):
     return [
         t,
         float(np.sqrt(e2.max())),
-        float(np.sqrt(kernels.row_norm2(grad_uhat.reshape(-1, 3)).max())),
+        float(np.sqrt(kernels.row_norm2(grad_uhat).max())),
         float(field_solution.uhat.values.max()),
         float(g_exp_u.sum() * vol),
         float((g_exp_u**2).sum() * vol) ** 0.5,
@@ -114,7 +114,7 @@ class DiagnosticsAccumulator:
         g_exp_u = g.values * exp_u
         e = field_solution.e.values
         # (x*x + y*y) + z*z, the bits of (e**2).sum(axis=-1) at a fifth of its time
-        e2 = kernels.row_norm2(e.reshape(-1, 3)).reshape(e.shape[:3])
+        e2 = kernels.row_norm2(e)
         v2 = kernels.row_norm2(ensemble.velocities)
         field_row = field_table_row(t, field_solution, e2, g_exp_u)
         kin, fld, ele, tot = energy(ensemble.weights, v2, field_solution, g, exp_u, e2)

@@ -74,6 +74,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import kernels
 from .mesh import ScalarField, VectorField, gradient
 
 CONTRACT_RTOL = 1e-10
@@ -797,7 +798,7 @@ def zero_solution(grid, epsilon):
         u=zs,
         ubar=zs,
         uhat=zs,
-        e=VectorField(grid, np.zeros((grid.nodes,) * 3 + (3,))),
+        e=VectorField(grid, kernels.component_major((grid.nodes,) * 3, zeros=True)),
         epsilon=epsilon,
         newton_iterations=0,
         residual_inf=0.0,

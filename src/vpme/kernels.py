@@ -25,19 +25,22 @@ A corner's offset is applied as a view, not added to the base nodes: a
 kernel indexes the flat array from the offset on (`flat[off:]`) with the
 base nodes themselves, so no per-corner index array is built and numpy
 still bounds-checks every index, against the shifted view. Deposits scatter
-with np.add.at into that view (one strided component view at a time for
-vectors), and the gather takes from one contiguous plane per component.
-The per-particle arrays that the kernels read or write one component at a
-time are stored component-major, as (n, 3) views of (3, n) arrays: the
-setup's fractions, the push's gathered E and the midpoint velocities
-(`pusher.step`), so each component is contiguous. Rows stay rows to every
-caller, and a row-major array works everywhere, only slower. Every node and
-particle component thus receives the same nonzero products in the same
+with np.add.at into that view (one component plane at a time for vectors),
+and the gather takes from one contiguous plane per component. Every node
+and particle component thus receives the same nonzero products in the same
 order as a per-corner (ix, iy, iz) fancy index over the in-box particles
 would give it, so the results are bitwise those of that formulation;
 tests/test_kernels.py keeps it as the oracle. An escaped particle adds a
 zero, which changes no bit, because a node starts at +0.0 and so never
 holds -0.0.
+
+The layout rule: every array of 3-vectors in vpme, per particle or per
+node, is stored component-major, an (..., 3) view of a C-ordered (3, ...)
+array, so that each component [..., c] is one contiguous plane. That holds
+for the ions' positions and velocities, every `mesh.VectorField`, the
+setup's fractions and the push's work arrays, and `component_major`
+allocates or converts every one of them. The layout moves no bit: every
+operation is elementwise or per component.
 
 The block rule: every kernel walks the particles in blocks of BLOCK
 consecutive particles, in particle order (`block_slices`), and `blocks`
@@ -90,17 +93,28 @@ def block_slices(n):
     return [slice(a, a + BLOCK) for a in range(0, n, BLOCK)]
 
 
-def empty_setup(n):
-    """Unfilled setup arrays for ``n`` particles: (in-box mask, base, (n, 3) fractions).
+def component_major(a, zeros=False):
+    """An array of 3-vectors, (..., 3), stored component-major (the layout rule).
 
-    The fractions are stored component-major: an (n, 3) view of a (3, n)
-    array, so each component ``frac[:, a]`` the weights read is contiguous.
+    ``a`` is either the leading shape (an int or a tuple) of a new array,
+    unfilled or, with ``zeros``, zero, or an array (..., 3) to convert. A
+    converted array is float; it is a view of ``a`` when ``a`` is such an
+    array already, else a copy.
     """
+    if isinstance(a, int):
+        a = (a,)
+    if isinstance(a, tuple):
+        return np.moveaxis((np.zeros if zeros else np.empty)((3,) + a), 0, -1)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0), dtype=float), 0, -1)
+
+
+def empty_setup(n):
+    """Unfilled setup arrays for ``n`` particles: (in-box mask, base, (n, 3) fractions)."""
     # the largest array first: with the run's setup built once and a fresh
     # one only for a checkpoint's midpoint outputs, dense-ions peak RSS read
     # 131.6-131.9 MB this way and 131.5-132.1 MB mask first (three runs
     # each, CHANGES.md), so the order is within noise there
-    frac = np.empty((3, n)).T
+    frac = component_major(n)
     base = np.empty(n, dtype=np.int64)
     inbox = np.empty(n, dtype=bool)
     return inbox, base, frac
@@ -124,10 +138,7 @@ def fill_setup(pos, x0, h, nodes, cic):
     fractions; the kernels read its mask entry as a zero weight.
     """
     inbox, base, s = cic
-    # one component at a time: a row-major pos into the component-major
-    # fractions in one operation took 206 of the 687 us per 16384-row block
-    for a in range(3):
-        np.subtract(pos[:, a], x0, out=s[:, a])
+    np.subtract(pos, x0, out=s)
     s /= h
     ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
     inbox[:] = ok[:, 0] & ok[:, 1] & ok[:, 2]
@@ -194,8 +205,8 @@ def _scatter_order(cic, weights, nodes):
 
 
 def row_norm2(a):
-    """Squared Euclidean norm of each row of an (n, 3) array, summed x, y, then z."""
-    return (a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]) + a[:, 2] * a[:, 2]
+    """Squared Euclidean norm of each 3-vector of an (..., 3) array, summed x, y, then z."""
+    return (a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]) + a[..., 2] * a[..., 2]
 
 
 def _flat_view(out):
@@ -220,16 +231,15 @@ def deposit(cic, weights, out):
 def deposit_vec(cic, weights, vec, out):
     """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp); returns the in-box weight.
 
-    ``vec`` is read one component column per block: a component-major
-    ``vec`` (as ``pusher.step`` allocates the midpoint velocities) reads
-    contiguous memory, a row-major one gives the same bits. ``vec`` must be
-    finite on escaped rows too: their zero weight times an infinite or NaN
+    Each component adds into its plane ``out[..., c]``, which must be
+    C-contiguous, as in a component-major ``out``. ``vec`` must be finite
+    on escaped rows too: their zero weight times an infinite or NaN
     component is NaN.
     """
-    flat = _flat_view(out).reshape(-1, vec.shape[1])
+    planes = [_flat_view(out[..., c]) for c in range(vec.shape[1])]
     for sl, off, base, cw in _scatter_order(cic, weights, out.shape[0]):
-        for c in range(vec.shape[1]):
-            np.add.at(flat[off:, c], base, cw * vec[sl, c])
+        for c, plane in enumerate(planes):
+            np.add.at(plane[off:], base, cw * vec[sl, c])
     return float(weights[cic[0]].sum())
 
 
@@ -237,11 +247,11 @@ def gather_vec(grid, cic, out):
     """Trilinear ``grid`` (N, N, N, ncomp) values at the setup ``cic`` into ``out``; zero outside.
 
     Each block's rows of ``out`` are zeroed, then accumulate the eight
-    corners in place, one component column at a time: a component-major
-    ``out`` is written contiguously, a row-major one gets the same bits.
-    Escaped rows gather node 0 and are then set to +0.0.
+    corners in place, one component at a time, from the component's plane
+    of ``grid`` (a copy when ``grid`` is not component-major). Escaped rows
+    gather node 0 and are then set to +0.0.
     """
-    planes = [np.ascontiguousarray(grid[..., c]).reshape(-1) for c in range(grid.shape[3])]
+    planes = [grid[..., c].reshape(-1) for c in range(grid.shape[3])]
     for sl, (inb, base, frac) in blocks(cic):
         block = out[sl]
         block[:] = 0.0
@@ -265,23 +275,19 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
     ``mid``, when given, is a pair (setup arrays, (n, 3) array) that
     receives the midpoint outputs: the setup of the half-step positions
     ``pos + 0.5 dt v`` and the velocities ``v`` after the opening kick.
-    The gathered E goes to one component-major block buffer, which both
-    gathers of every block fill and the kicks and ``|E|`` read by column.
+    The gathered E goes to one block buffer, which both gathers of every
+    block fill.
     """
     nodes = egrid.shape[0]
     if cic is None:
         cic = cic_setup(pos, x0, h, nodes)
-    # component-major copy: each block's gather takes from its planes uncopied
-    grid = np.moveaxis(np.ascontiguousarray(np.moveaxis(egrid, 3, 0)), 0, 3)
-    e = np.empty((3, min(pos.shape[0], BLOCK))).T
+    e = component_major(min(pos.shape[0], BLOCK))
     for sl, blk in blocks(cic):
         # gather_vec by its module-global name, so a wrapper installed there
         # sees both gathers of every block
-        eb = gather_vec(grid, blk, e[: blk[0].shape[0]])
+        eb = gather_vec(egrid, blk, e[: blk[0].shape[0]])
         v, p, f = vel[sl], pos[sl], fint[sl]
-        # transposed, so the component-major kick meets the row-major v
-        # component by component (same bits, about half the time)
-        v.T[...] += (0.5 * dt * eb).T
+        v += 0.5 * dt * eb
         if mid is not None:
             mid_cic, vmid = mid
             vmid[sl] = v
@@ -289,8 +295,8 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
         p += dt * v
         n1 = np.sqrt(row_norm2(eb))
         fill_setup(p, x0, h, nodes, blk)
-        gather_vec(grid, blk, eb)
-        v.T[...] += (0.5 * dt * eb).T
+        gather_vec(egrid, blk, eb)
+        v += 0.5 * dt * eb
         f += 0.5 * dt * (n1 + np.sqrt(row_norm2(eb)))
     return cic
 

@@ -76,7 +76,7 @@ class VectorField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
+        self.values = kernels.component_major(self.values)
         _check_values(self.grid, self.values, 3)
 
 
@@ -101,7 +101,7 @@ def deposit_density(ensemble, grid, cic=None):
 
 def current_from_arrays(cic, velocities, weights, grid):
     """Trilinear-deposited current density of ``weights * velocities`` at the CIC setup ``cic``."""
-    raw = np.zeros((grid.nodes,) * 3 + (3,))
+    raw = kernels.component_major((grid.nodes,) * 3, zeros=True)
     kernels.deposit_vec(cic, weights, velocities, raw)
     return VectorField(grid, raw / grid.cell_volume)
 
@@ -162,52 +162,43 @@ def _ball_cell_average(profile, grid):
 # ---------------------------------------------------------------------------
 
 
-def _one_sided(u, h, axis, out):
-    """Second-order one-sided differences of ``u`` along ``axis`` on its two faces, into ``out``."""
-    u, out = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
-    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+def difference(u, h, axis, out):
+    """Second-order difference of ``u`` (N, N, N) along ``axis`` into the C-contiguous ``out``.
 
-
-def _diff_axis(u, h, axis, out=None):
-    """Second-order difference of ``u`` along ``axis``, into ``out`` (same shape) if given."""
-    out = np.empty_like(u) if out is None else out
-    um = np.moveaxis(u, axis, 0)
-    inner = np.subtract(um[2:], um[:-2], out=np.moveaxis(out, axis, 0)[1:-1])
-    inner /= 2.0 * h
-    _one_sided(u, h, axis, out)
+    Central inside, one-sided on the two faces of the axis. Flat index: the
+    node (i, j, k) of the C-ordered grid is i N^2 + j N + k, so its
+    neighbours along the axis sit at the flat index plus or minus the stride
+    s = N^2, N or 1. The central difference is taken for every flat index
+    from s to N^3 - s at once, from two contiguous slices of the flat
+    values. The nodes on the two faces of the axis get a wrapped, meaningless
+    value there, which the one-sided differences then overwrite. Returns
+    ``out``.
+    """
+    s = u.shape[0] ** (2 - axis)
+    flat = u.reshape(-1)
+    np.divide(flat[2 * s:] - flat[: -2 * s], 2.0 * h, out=out.reshape(-1, copy=False)[s:-s])
+    u, faces = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
+    faces[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    faces[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     return out
 
 
 def gradient(field):
-    """Second-order gradient of a ScalarField (central inside, one-sided on faces), (N, N, N, 3).
-
-    Flat index: the node (i, j, k) of the C-ordered grid is i N^2 + j N + k,
-    so its neighbours along axis d sit at the flat index plus or minus the
-    stride s = N^2, N or 1. The central difference along axis d is taken
-    for every flat index from s to N^3 - s at once, from two contiguous
-    slices of the flat values, and written straight into component d of the
-    output. The nodes on the two faces of axis d get a wrapped, meaningless
-    value there, which ``_one_sided`` then overwrites. The arithmetic of
-    every node is that of the per-axis differences, so the bits are too.
-    """
+    """Second-order gradient of a ScalarField, (N, N, N, 3), one ``difference`` per component."""
     u = field.values
     h = field.grid.spacing
-    n = u.shape[0]
-    flat = u.reshape(-1)
-    out = np.empty(u.shape + (3,))
-    rows = out.reshape(-1, 3)
-    for d, s in enumerate((n * n, n, 1)):
-        np.divide(flat[2 * s:] - flat[: -2 * s], 2.0 * h, out=rows[s:-s, d])
-        _one_sided(u, h, d, out[..., d])
+    out = kernels.component_major(u.shape)
+    for d in range(3):
+        difference(u, h, d, out[..., d])
     return out
 
 
 def divergence(field):
     h = field.grid.spacing
     out = np.zeros(field.values.shape[:3])
+    buf = np.empty_like(out)
     for d in range(3):
-        out += _diff_axis(field.values[..., d], h, d)
+        out += difference(field.values[..., d], h, d, buf)
     return out
 
 
@@ -230,7 +221,7 @@ def write_field(path, name, field):
                 "<IddI", field.grid.nodes, field.grid.half_width, field.grid.spacing, ncomp
             )
         )
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        fh.write(np.asarray(values, dtype="<f8").tobytes(order="C"))
 
 
 def read_field(path):

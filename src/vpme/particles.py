@@ -64,8 +64,8 @@ class ParticleEnsemble:
     escaped_mass: float = field(init=False)
 
     def __post_init__(self):
-        self.positions = np.ascontiguousarray(self.positions, dtype=float)
-        self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
+        self.positions = kernels.component_major(self.positions)
+        self.velocities = kernels.component_major(self.velocities)
         self.weights = np.ascontiguousarray(self.weights, dtype=float)
         n = self.positions.shape[0]
         if n < 1:
@@ -76,7 +76,7 @@ class ParticleEnsemble:
             raise ValueError("weights must be (n,)")
         if not (self.weights > 0.0).all():
             raise ValueError("particle weights must all be positive")
-        self.initial_velocities = self.velocities.copy()
+        self.initial_velocities = self.velocities.copy(order="K")
         self.field_integral = np.zeros(n)
         self.escaped_mass = 0.0
 

@@ -46,14 +46,12 @@ def step(ensemble, e, dt, cic=None, midpoint=False):
     the setup of the drifted positions (it is built when omitted). With
     ``midpoint``, the step also allocates and fills the midpoint outputs
     that feed the midpoint current deposit: the CIC setup of the half-step
-    drift positions and the half-step velocities. The velocities are stored
-    component-major, an (n, 3) view of a (3, n) array, so the current
-    deposit reads each component contiguously. Returns ``(cic, mid)``,
+    drift positions and the half-step velocities. Returns ``(cic, mid)``,
     ``mid`` being ``(midpoint setup, velocities)`` or None.
     """
     mid = None
     if midpoint:
-        mid = kernels.empty_setup(ensemble.count), np.empty((3, ensemble.count)).T
+        mid = kernels.empty_setup(ensemble.count), kernels.component_major(ensemble.count)
     cic = kernels.push_kdk(
         ensemble.positions,
         ensemble.velocities,
@@ -102,6 +100,6 @@ def _max_abs_gradient(e):
     out = 0.0
     for c in range(3):
         for d in range(3):
-            mesh._diff_axis(e.values[..., c], h, d, out=buf)
+            mesh.difference(e.values[..., c], h, d, buf)
             out = max(out, float(buf.max()), -float(buf.min()))
     return out

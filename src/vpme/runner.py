@@ -58,7 +58,7 @@ def _build_ensemble(cfg, g, seed):
         ens = particles.sample_initial(cfg.init, cfg.count, seed)
     if any(c != 0.0 for c in cfg.drift):
         ens.velocities += np.asarray(cfg.drift)
-        ens.initial_velocities = ens.velocities.copy()
+        ens.initial_velocities = ens.velocities.copy(order="K")
     return ens
 
 

@@ -1,11 +1,13 @@
 """Deposit/gather/push kernels: the reference oracle and transfer identities."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from conftest import small_scenario
 
-from vpme import kernels
+from vpme import fieldsolve, kernels, mesh, runner
 
 RNG = np.random.default_rng(42)
 L, NODES = 2.0, 12
@@ -85,7 +87,7 @@ def _check_shared_setup_against_reference(pos, w, vec):
     out = np.zeros((NODES,) * 3)
     assert kernels.deposit(cic, w, out) == inbox
     assert (out == rho).all()
-    out = np.zeros((NODES,) * 3 + (3,))
+    out = kernels.component_major((NODES,) * 3, zeros=True)
     assert kernels.deposit_vec(cic, w, vec, out) == inbox
     assert (out == cur).all()
     grid = RNG.standard_normal((NODES,) * 3 + (3,))
@@ -364,9 +366,10 @@ def test_push_working_memory_is_the_field_grid_plus_a_block():
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    # the setup is refilled in place, so only the component-major E grid and,
-    # per block particle, the gathered E, its kick and drift temporaries and
-    # the refill's (100 bytes measured) remain
+    # the setup is refilled in place, so only the planes of the E grid (each
+    # gather copies them, as this egrid is row-major) and, per block
+    # particle, the gathered E, its kick and drift temporaries and the
+    # refill's (100 bytes measured) remain
     assert max(peaks) <= egrid.nbytes + 128 * kernels.BLOCK
 
 
@@ -390,12 +393,35 @@ def test_push_gathers_twice_per_block(monkeypatch):
     assert calls == [block, block, block, block, block // 2, block // 2]
 
 
-def test_setup_fractions_are_component_major():
-    # each weight computation reads one fraction component; stored (3, n),
-    # every component is contiguous
+def _has_component_planes(a):
+    # an (..., 3) view of a C-ordered (3, ...) array: each component is contiguous
+    return a.shape[-1] == 3 and np.moveaxis(a, -1, 0).flags.c_contiguous
+
+
+def test_setup_fractions_are_component_major(tmp_path):
+    # the layout rule: every array of 3-vectors, per particle or per node
     pos, _, _ = _cloud(100)
     for frac in (_setup(pos)[2], kernels.empty_setup(100)[2]):
-        assert frac.shape == (100, 3) and frac.T.flags.c_contiguous
+        assert frac.shape == (100, 3) and _has_component_planes(frac)
+    cfg = small_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 16^3 background is renormalized
+        g = mesh.evaluate_g(cfg.g_profile, cfg.grid)
+    for drift in ((0.0, 0.0, 0.0), (0.5, 0.0, -0.25)):
+        ens = runner._build_ensemble(small_scenario(drift=drift), g, cfg.seed)
+        for a in (ens.positions, ens.velocities, ens.initial_velocities):
+            assert _has_component_planes(a)
+    grid = cfg.grid
+    sol = fieldsolve.solve_field(mesh.deposit_density(ens, grid), g, cfg.epsilon)
+    cic = kernels.cic_setup(ens.positions, grid.origin, grid.spacing, grid.nodes)
+    j = mesh.current_from_arrays(cic, ens.velocities, ens.weights, grid)
+    mesh.write_field(tmp_path / "e.field", "e", sol.e)
+    _, back = mesh.read_field(tmp_path / "e.field")
+    for fld in (sol.e, fieldsolve.zero_solution(grid, cfg.epsilon).e, j, back):
+        assert _has_component_planes(fld.values)
+    # the snapshot holds the (N, N, N, 3) values in C order, whatever the layout
+    assert (tmp_path / "e.field").read_bytes().endswith(np.ascontiguousarray(sol.e.values).tobytes())
+    assert (back.values == sol.e.values).all()
 
 
 def test_gather_into_row_and_component_major_out_is_bitwise_equal(monkeypatch):
@@ -416,7 +442,7 @@ def test_deposit_vec_of_row_and_component_major_vec_is_bitwise_equal(monkeypatch
     cic = _setup(pos)
     outs = []
     for v in (vec, np.ascontiguousarray(vec.T).T):
-        out = np.zeros((NODES,) * 3 + (3,))
+        out = kernels.component_major((NODES,) * 3, zeros=True)
         kernels.deposit_vec(cic, w, v, out)
         outs.append(out)
     assert (outs[0] == outs[1]).all() and (outs[0] == _ref_deposit(pos, w, vec, NODES)[2]).all()
@@ -432,7 +458,7 @@ def test_kernels_bounds_check_the_base_node():
     with pytest.raises(IndexError):
         kernels.deposit(cic, w, np.zeros((NODES,) * 3))
     with pytest.raises(IndexError):
-        kernels.deposit_vec(cic, w, vec, np.zeros((NODES,) * 3 + (3,)))
+        kernels.deposit_vec(cic, w, vec, kernels.component_major((NODES,) * 3, zeros=True))
     with pytest.raises(IndexError):
         kernels.gather_vec(grid, cic, np.empty_like(pos))
     with pytest.raises(IndexError):
