@@ -48,11 +48,11 @@ def _row(eps, steps):
     warm, margins = [], []
 
     def counted(*args, **kwargs):
-        if kwargs.get("initial") is None:
+        if kwargs.get("warm") is None:
             return solve_uhat(*args, **kwargs)
         start = time.process_time()
         hat = solve_uhat(*args, **kwargs)
-        refreshed = hat.border_columns is not kwargs.get("border_columns")
+        refreshed = hat.border_columns is not kwargs["warm"].border_columns
         warm.append((hat.iterations, hat.cg_iterations, time.process_time() - start, refreshed))
         return hat
 

@@ -177,14 +177,14 @@ def write_table(path, columns, rows):
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def read_table(path, expected_columns=None):
-    """Parse a CSV into a dict of float arrays; strict about the schema."""
+def read_table(path, expected_columns):
+    """Parse a CSV with the header ``expected_columns`` into a dict of float arrays."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty table")
     header = lines[0].split(",")
-    if expected_columns is not None and header != list(expected_columns):
+    if header != list(expected_columns):
         raise SchemaError(
             f"{path}: header {header!r} does not match expected columns {list(expected_columns)!r}"
         )
@@ -208,5 +208,5 @@ def write_timeseries(path, accumulator):
 
 
 def read_timeseries(path):
-    return read_table(path, expected_columns=COLUMNS)
+    return read_table(path, COLUMNS)
 

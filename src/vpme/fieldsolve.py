@@ -449,12 +449,12 @@ def _quasi_neutral_guess(ubar, g, eps2, h):
 _BORDER_UNKNOWNS = ("mu", "c_x", "c_y", "c_z")
 
 
-def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None, border_newton=None):
+def solve_uhat(ubar, g, epsilon, warm=None):
     """Damped-Newton solve of eps^2 Lap Uhat = g exp(Ubar + Uhat).
 
-    ``initial`` warm-starts the iteration (a full-grid array) and
-    ``border_columns`` and ``border_newton`` reuse those of an earlier solve
-    on the same grid (``UhatResult``). A cold start begins from the
+    ``warm``, an earlier FieldSolution on the same grid, warm-starts the
+    iteration from its ``uhat`` and hands over its ``border_columns`` and
+    ``border_newton``. Without it the solve starts cold, from the
     quasi-neutral screening guess at every eps: on the workload shapes it
     is never more than one Newton step behind a zero start, and from eps
     0.3 down it saves 3 or more (6 against 17 at eps 0.15). A background
@@ -474,11 +474,11 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None, border_newto
     first step of a call given none, for that call's own Newton, and again
     at its converged state: those are the ones returned. A call given
     columns reuses them, so a step is one interior CG solve for the
-    residual. ``border_newton`` is the Newton count of the first call that
-    took steps on the given columns (``UhatResult.border_newton``; None
-    until one has): a call given None returns its own count, a call that
-    needs more steps than it re-solves the columns at its converged state
-    into a new array (the given one is never written) and returns None. A
+    residual. ``warm.border_newton`` is the Newton count of the first call
+    that took steps on the given columns (None until one has): a call given
+    None returns its own count, a call that needs more steps than it
+    re-solves the columns at its converged state into a new array (the
+    given one is never written) and returns None. A
     warm solve held by stale columns contracts about as slowly as its
     columns are old: on the quasi-neutral workload (eps 0.1) the first
     warm solve took 4 Newton steps on the columns of the screening guess
@@ -513,8 +513,12 @@ def solve_uhat(ubar, g, epsilon, initial=None, border_columns=None, border_newto
     inner = np.s_[1:-1, 1:-1, 1:-1]
     ax = grid.axis()
     face_index, face_rows = _face_nodes(grid)
+    if warm is None:
+        uh, border_columns, border_newton = _quasi_neutral_guess(ubar, g, eps2, h), None, None
+    else:
+        uh = warm.uhat.values
+        border_columns, border_newton = warm.border_columns, warm.border_newton
     carried = border_columns is not None
-    uh = _quasi_neutral_guess(ubar, g, eps2, h) if initial is None else initial
 
     ubv = ubar.values
     history = []
@@ -758,13 +762,7 @@ def solve_field(rho, g, epsilon, warm=None):
     if mass > 1.0 + 1e-9:
         raise ValueError(f"deposited ion mass {mass!r} exceeds 1 beyond tolerance")
     ubar = solve_ubar(rho, epsilon)
-    if warm is None:
-        hat = solve_uhat(ubar, g, epsilon)
-    else:
-        hat = solve_uhat(
-            ubar, g, epsilon, initial=warm.uhat.values, border_columns=warm.border_columns,
-            border_newton=warm.border_newton,
-        )
+    hat = solve_uhat(ubar, g, epsilon, warm=warm)
     u = ScalarField(rho.grid, ubar.values + hat.field.values)
     # the solver's g e^U is exp of the same Ubar + Uhat sum as u
     gauss = gauss_imbalance(u, rho, hat.source, epsilon)

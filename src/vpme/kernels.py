@@ -4,8 +4,9 @@ One numpy implementation, serial with a fixed particle order, so same-seed
 runs are bitwise reproducible.
 
 Particles outside the node box [x0, x0 + (N-1)h]^3 deposit nothing and see a
-zero field; their skipped weight is returned so callers can track escaped
-mass. Deposit and gather share the same trilinear weights (adjoint pair).
+zero field; the density deposit returns the in-box weight so callers can
+track escaped mass. Deposit and gather share the same trilinear weights
+(adjoint pair).
 
 The CIC rule: a particle is in the box when -EDGE_TOL <= s <= N-1+EDGE_TOL on
 each axis, s = (x - x0)/h; s is clamped to [0, N-1], the base index to N-2,
@@ -53,11 +54,11 @@ sets its rounding; the deposits therefore loop the corners outside the
 blocks, and for each corner np.add.at runs over the blocks in particle
 order. Each node then receives the same additions in the same order as one
 whole-array np.add.at per corner, and so the same bits; blocks outside
-corners would interleave the corners and move the rounding. The returned
-in-box weight is one pairwise sum over the in-box weights alone, because a
-pairwise sum depends on the block layout, and a sum over the zero-padded
-weights would pair them differently. No output depends on BLOCK
-(tests/test_config.py runs two scenarios at two block sizes).
+corners would interleave the corners and move the rounding. The in-box
+weight that ``deposit`` returns is one pairwise sum over the in-box weights
+alone, because a pairwise sum depends on the block layout, and a sum over
+the zero-padded weights would pair them differently. No output depends on
+BLOCK (tests/test_config.py runs two scenarios at two block sizes).
 
 Working memory per particle: the setup, about 33 bytes for every particle,
 escaped ones included, lives the whole run, because the push refills each
@@ -229,7 +230,7 @@ def deposit(cic, weights, out):
 
 
 def deposit_vec(cic, weights, vec, out):
-    """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp); returns the in-box weight.
+    """Scatter ``weights * vec`` at the setup ``cic`` into ``out`` (..., ncomp), in place.
 
     Each component adds into its plane ``out[..., c]``, which must be
     C-contiguous, as in a component-major ``out``. ``vec`` must be finite
@@ -240,7 +241,6 @@ def deposit_vec(cic, weights, vec, out):
     for sl, off, base, cw in _scatter_order(cic, weights, out.shape[0]):
         for c, plane in enumerate(planes):
             np.add.at(plane[off:], base, cw * vec[sl, c])
-    return float(weights[cic[0]].sum())
 
 
 def gather_vec(grid, cic, out):
@@ -262,15 +262,15 @@ def gather_vec(grid, cic, out):
     return out
 
 
-def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
-    """One kick-drift-kick step in place, in one pass over the blocks; returns ``cic``.
+def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic, mid=None):
+    """One kick-drift-kick step in place, in one pass over the blocks.
 
-    ``cic`` is the setup of ``pos`` (built when None). Each block gathers E
-    at its rows, kicks and drifts, then refills its rows with the setup of
-    the drifted positions and gathers again for the closing kick, so on
-    return ``cic`` is the setup of the drifted ``pos``. Both kicks read the
-    same frozen field and a block's rows are refilled only after its
-    opening gather, so the result is that of two whole-array passes.
+    ``cic`` is the setup of ``pos``. Each block gathers E at its rows,
+    kicks and drifts, then refills its rows with the setup of the drifted
+    positions and gathers again for the closing kick, so on return ``cic``
+    is the setup of the drifted ``pos``. Both kicks read the same frozen
+    field and a block's rows are refilled only after its opening gather,
+    so the result is that of two whole-array passes.
 
     ``mid``, when given, is a pair (setup arrays, (n, 3) array) that
     receives the midpoint outputs: the setup of the half-step positions
@@ -279,8 +279,6 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
     block fill.
     """
     nodes = egrid.shape[0]
-    if cic is None:
-        cic = cic_setup(pos, x0, h, nodes)
     e = component_major(min(pos.shape[0], BLOCK))
     for sl, blk in blocks(cic):
         # gather_vec by its module-global name, so a wrapper installed there
@@ -298,7 +296,6 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic=None, mid=None):
         gather_vec(egrid, blk, eb)
         v += 0.5 * dt * eb
         f += 0.5 * dt * (n1 + np.sqrt(row_norm2(eb)))
-    return cic
 
 
 # only so that perfbench/spans.py, which wraps this name, still finds it

@@ -46,10 +46,9 @@ class GridSpec:
         return np.linspace(-self.half_width, self.half_width, self.nodes)
 
     def node_coords(self):
-        """(N, N, N, 3) array of node positions."""
+        """(N, N, N, 3) array of node positions, component-major (the ``kernels`` layout rule)."""
         ax = self.axis()
-        xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
-        return np.stack([xs, ys, zs], axis=-1)
+        return np.moveaxis(np.stack(np.meshgrid(ax, ax, ax, indexing="ij")), 0, -1)
 
 
 def _check_values(grid, values, ncomp):
@@ -85,14 +84,11 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
-def deposit_density(ensemble, grid, cic=None):
+def deposit_density(ensemble, grid, cic):
     """Trilinear-deposited number density; updates ensemble.escaped_mass.
 
-    ``cic`` is the CIC setup of the ensemble's positions (``kernels.cic_setup``),
-    built here when omitted.
+    ``cic`` is the CIC setup of the ensemble's positions (``kernels.cic_setup``).
     """
-    if cic is None:
-        cic = kernels.cic_setup(ensemble.positions, grid.origin, grid.spacing, grid.nodes)
     raw = np.zeros((grid.nodes,) * 3)
     inbox = kernels.deposit(cic, ensemble.weights, raw)
     ensemble.escaped_mass = max(0.0, ensemble.total_weight - inbox)

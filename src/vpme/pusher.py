@@ -8,8 +8,8 @@ integral dominates the realized velocity deviation by construction.
 
 Both kicks gather through a cloud-in-cell setup (``kernels.cic_setup``) of
 the current positions, which ``step`` refills in place with the setup of
-the drifted positions. The runner builds it once and hands it to every
-step; without one, as in a frozen field, the step builds it.
+the drifted positions. The caller builds it once and hands it to every
+step.
 """
 
 import math
@@ -39,20 +39,20 @@ class TimeSpec:
         return max(1, round(self.t_end / self.dt))
 
 
-def step(ensemble, e, dt, cic=None, midpoint=False):
+def step(ensemble, e, dt, cic, midpoint=False):
     """Advance one kick-drift-kick step in place in the field ``e`` (a VectorField).
 
     ``cic`` is the CIC setup of the current positions; on return it holds
-    the setup of the drifted positions (it is built when omitted). With
-    ``midpoint``, the step also allocates and fills the midpoint outputs
-    that feed the midpoint current deposit: the CIC setup of the half-step
-    drift positions and the half-step velocities. Returns ``(cic, mid)``,
-    ``mid`` being ``(midpoint setup, velocities)`` or None.
+    the setup of the drifted positions. With ``midpoint``, the step also
+    allocates and fills the midpoint outputs that feed the midpoint current
+    deposit: the CIC setup of the half-step drift positions and the
+    half-step velocities. Returns ``(midpoint setup, velocities)``, or None
+    without ``midpoint``.
     """
     mid = None
     if midpoint:
         mid = kernels.empty_setup(ensemble.count), kernels.component_major(ensemble.count)
-    cic = kernels.push_kdk(
+    kernels.push_kdk(
         ensemble.positions,
         ensemble.velocities,
         ensemble.field_integral,
@@ -63,7 +63,7 @@ def step(ensemble, e, dt, cic=None, midpoint=False):
         cic,
         mid,
     )
-    return cic, mid
+    return mid
 
 
 def stability_check(v2max, e, dt):

@@ -168,7 +168,7 @@ def run(cfg, out_dir, seed=None):
         steps = cfg.time.steps
         for n in range(1, steps + 1):
             checkpoint = n % cfg.time.checkpoint_every == 0 or n == steps
-            _, mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
+            mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
             rho_prev, rho = rho, _deposit(n)
             if selfconsistent:
                 sol = fieldsolve.solve_field(rho, g, cfg.epsilon, warm=sol)

@@ -69,7 +69,7 @@ def check_q_order(series):
     }
 
 
-def check_density_bound(series, applicable=True):
+def check_density_bound(series, applicable):
     """Audit rho_inf(t)/(1 + q_star(t)^3) <= 10 x its t=0 value.
 
     The cubic law presumes power-law initial data; for other runs the ratio

@@ -13,7 +13,7 @@ import pytest
 
 import conftest
 from conftest import make_scenario
-from vpme import diagnostics, fieldsolve, pusher, runner, verify
+from vpme import diagnostics, fieldsolve, kernels, pusher, runner, verify
 from vpme.mesh import GridSpec, VectorField, evaluate_g
 from vpme.particles import InitialDistributionSpec, ParticleEnsemble
 from vpme.profiles import SpatialProfile
@@ -210,8 +210,9 @@ def test_criterion_9_pusher_second_order():
         ens = ParticleEnsemble(
             positions=np.array([x0]), velocities=np.array([v0]), weights=np.array([1.0])
         )
+        cic = kernels.cic_setup(ens.positions, grid.origin, grid.spacing, grid.nodes)
         for _ in range(round(1.0 / dt)):
-            pusher.step(ens, field, dt)
+            pusher.step(ens, field, dt, cic)
         exact = x0 * math.cos(1.0) + v0 * math.sin(1.0)
         errors.append(float(np.linalg.norm(ens.positions[0] - exact)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]

@@ -143,19 +143,19 @@ def test_read_table_schema_errors(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("")
     with pytest.raises(SchemaError, match="empty"):
-        diagnostics.read_table(p)
+        diagnostics.read_table(p, ["a", "b"])
     p.write_text("a,b\n")
     with pytest.raises(SchemaError, match="no rows"):
-        diagnostics.read_table(p)
+        diagnostics.read_table(p, ["a", "b"])
     p.write_text("a,b\n1.0,2.0\n")
     with pytest.raises(SchemaError, match="does not match expected"):
-        diagnostics.read_table(p, expected_columns=["a", "c"])
+        diagnostics.read_table(p, ["a", "c"])
     p.write_text("a,b\n1.0\n")
     with pytest.raises(SchemaError, match="expected 2 fields"):
-        diagnostics.read_table(p)
+        diagnostics.read_table(p, ["a", "b"])
     p.write_text("a,b\n1.0,pear\n")
     with pytest.raises(SchemaError, match="non-numeric"):
-        diagnostics.read_table(p)
+        diagnostics.read_table(p, ["a", "b"])
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):

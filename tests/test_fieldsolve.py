@@ -6,10 +6,13 @@ and pinned; tolerances leave room for BLAS/FFT reordering, not for
 regressions.
 """
 
+import importlib.util
 import inspect
 import math
 import re
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +26,11 @@ from vpme.profiles import SpatialProfile
 from vpme.pusher import TimeSpec
 
 from conftest import load_run, make_scenario
+
+
+def _start(grid, uhat):
+    # a warm start from the values ``uhat`` alone, with no border columns to reuse
+    return SimpleNamespace(uhat=ScalarField(grid, uhat), border_columns=None, border_newton=None)
 
 
 def _background(grid, kind="gaussian", scale=1.0, center=(0.0, 0.0, 0.0)):
@@ -327,7 +335,7 @@ def test_no_electrons_returns_zero_from_any_start():
     g0 = ScalarField(grid, np.zeros((grid.nodes,) * 3))
     ub = fs.solve_ubar(_background(grid, scale=0.5), 0.1)
     start = np.full((grid.nodes,) * 3, -0.5)
-    for hat in (fs.solve_uhat(ub, g0, 0.1), fs.solve_uhat(ub, g0, 0.1, initial=start)):
+    for hat in (fs.solve_uhat(ub, g0, 0.1), fs.solve_uhat(ub, g0, 0.1, warm=_start(grid, start))):
         assert hat.iterations == 0
         assert (hat.field.values == 0.0).all()
     sol = fs.solve_field(_background(grid, scale=0.5), g0, 0.1)
@@ -472,7 +480,7 @@ def test_cold_solve_starts_from_the_screening_guess(eps):
     ub = fs.solve_ubar(rho, eps)
     guess = fs._quasi_neutral_guess(ub, g, eps**2, grid.spacing)
     cold = fs.solve_uhat(ub, g, eps)
-    assert cold.history[0] == fs.solve_uhat(ub, g, eps, initial=guess).history[0]
+    assert cold.history[0] == fs.solve_uhat(ub, g, eps, warm=_start(grid, guess)).history[0]
 
 
 def test_border_columns_are_refreshed_when_a_warm_solve_slows(monkeypatch):
@@ -523,6 +531,25 @@ def test_border_columns_are_refreshed_when_a_warm_solve_slows(monkeypatch):
     assert still.newton_iterations == 0
     assert calls == []
     assert still.border_newton is None
+
+
+def test_newton_table_row_counts_the_warm_solves():
+    # benchmarks/newton_table.py wraps solve_uhat and reads its ``warm``
+    # argument, so a change to that signature must break a test, not the table
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "newton_table.py"
+    spec = importlib.util.spec_from_file_location("newton_table", path)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    solve_uhat = fs.solve_uhat
+    row = table._row(0.1, 6)
+    assert "abort" not in row
+    cells = [c.strip() for c in row.strip(" |").split("|")]
+    assert cells[:2] == ["0.1", "6"]
+    per_solve = [int(n) for n in cells[7].split()]
+    assert len(per_solve) == 6
+    assert cells[2].split(" / ")[0] == str(sum(per_solve))
+    # the row puts the solver back as it found it
+    assert fs.solve_uhat is solve_uhat
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.05])
@@ -648,7 +675,7 @@ def test_absurd_initial_guess_raises_with_warm_start_advice():
     ub = fs.solve_ubar(rho, 0.5)
     # exp overflows above ~709.8, so the first source evaluation trips
     with pytest.raises(fs.FieldSolveError, match="overflowed"):
-        fs.solve_uhat(ub, g, 0.5, initial=np.full((16, 16, 16), 800.0))
+        fs.solve_uhat(ub, g, 0.5, warm=_start(ub.grid, np.full((16, 16, 16), 800.0)))
 
 
 def test_non_finite_cg_residual_raises_with_warm_start_advice():
@@ -657,7 +684,7 @@ def test_non_finite_cg_residual_raises_with_warm_start_advice():
     # exp(705) is finite, but the Newton residual built on it is not: the
     # norm of the inner CG's right-hand side overflows
     with pytest.raises(fs.FieldSolveError, match="retry from a warm start"):
-        fs.solve_uhat(ub, g, 0.5, initial=np.full((16, 16, 16), 705.0))
+        fs.solve_uhat(ub, g, 0.5, warm=_start(ub.grid, np.full((16, 16, 16), 705.0)))
 
 
 def test_newton_step_cap_raises_did_not_converge(monkeypatch):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vpme import mesh
+from vpme import kernels, mesh
 from vpme.mesh import GridSpec, ScalarField, VectorField
 from vpme.particles import ParticleEnsemble
 from vpme.profiles import SpatialProfile
@@ -92,7 +92,8 @@ def test_deposit_density_tracks_escaped_mass():
     ens = ParticleEnsemble(
         positions=pos, velocities=np.zeros_like(pos), weights=np.array([0.5, 0.3, 0.2])
     )
-    rho = mesh.deposit_density(ens, g)
+    cic = kernels.cic_setup(ens.positions, g.origin, g.spacing, g.nodes)
+    rho = mesh.deposit_density(ens, g, cic)
     assert ens.escaped_mass == pytest.approx(0.2, abs=1e-15)
     assert rho.values.sum() * g.cell_volume == pytest.approx(0.8, abs=1e-14)
 

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from vpme import mesh, particles
+from vpme import kernels, mesh, particles
 from vpme.mesh import GridSpec
 from vpme.particles import InitialDistributionSpec, ParticleEnsemble
 from vpme.profiles import SpatialProfile
@@ -210,7 +210,8 @@ def test_node_lattice_reproduces_background():
     ens = particles.node_lattice(g)
     assert (ens.velocities == 0.0).all()
     assert ens.total_weight == pytest.approx(1.0, abs=1e-12)
-    rho = mesh.deposit_density(ens, grid)
+    cic = kernels.cic_setup(ens.positions, grid.origin, grid.spacing, grid.nodes)
+    rho = mesh.deposit_density(ens, grid, cic)
     assert ens.escaped_mass == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(rho.values, g.values, rtol=0.0, atol=1e-12 * g.values.max())
 

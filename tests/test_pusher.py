@@ -28,6 +28,11 @@ def _constant_field(vec):
     return VectorField(GRID, values)
 
 
+def _setup(ens):
+    # the CIC setup that every step of a run refills in place
+    return kernels.cic_setup(ens.positions, GRID.origin, GRID.spacing, GRID.nodes)
+
+
 def _single(x, v):
     return ParticleEnsemble(
         positions=np.array([x], dtype=float),
@@ -51,8 +56,9 @@ def test_time_spec_validation():
 def test_free_streaming_is_exact():
     ens = _single([0.1, -0.2, 0.3], [0.4, 0.25, -0.3])
     zero = _constant_field([0.0, 0.0, 0.0])
+    cic = _setup(ens)
     for _ in range(100):
-        pusher.step(ens, zero, 0.01)
+        pusher.step(ens, zero, 0.01, cic)
     assert np.allclose(ens.positions[0], [0.5, 0.05, 0.0], atol=1e-14)
     assert np.array_equal(ens.velocities, ens.initial_velocities)
     assert q_star(ens) == 0.0
@@ -64,8 +70,9 @@ def test_constant_field_is_exact_and_saturates_deviation_bound():
     ens = _single([-0.5, 0.0, 0.0], [0.2, 0.1, 0.0])
     field = _constant_field(a)
     dt, n = 0.01, 150
+    cic = _setup(ens)
     for _ in range(n):
-        pusher.step(ens, field, dt)
+        pusher.step(ens, field, dt, cic)
     t = n * dt
     assert np.allclose(ens.velocities[0], [0.2 + 0.3 * t, 0.1, 0.0], atol=1e-13)
     expect_x = np.array([-0.5, 0.0, 0.0]) + t * np.array([0.2, 0.1, 0.0]) + 0.5 * t * t * a
@@ -86,8 +93,9 @@ def test_harmonic_trajectory_second_order():
     for dt in (0.02, 0.01, 0.005):
         ens = _single(x0, v0)
         steps = round(1.0 / dt)
+        cic = _setup(ens)
         for _ in range(steps):
-            pusher.step(ens, field, dt)
+            pusher.step(ens, field, dt, cic)
         exact = x0 * math.cos(1.0) + v0 * math.sin(1.0)
         errors.append(float(np.linalg.norm(ens.positions[0] - exact)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
@@ -99,11 +107,12 @@ def test_harmonic_trajectory_second_order():
 def test_velocity_reversal_retraces_the_path():
     field = _linear_field(-1.0)
     ens = _single([0.5, 0.0, -0.3], [0.0, 0.4, 0.0])
+    cic = _setup(ens)
     for _ in range(200):
-        pusher.step(ens, field, 0.005)
+        pusher.step(ens, field, 0.005, cic)
     ens.velocities *= -1.0
     for _ in range(200):
-        pusher.step(ens, field, 0.005)
+        pusher.step(ens, field, 0.005, cic)
     ens.velocities *= -1.0
     assert np.allclose(ens.positions[0], [0.5, 0.0, -0.3], atol=1e-10)
     assert np.allclose(ens.velocities[0], [0.0, 0.4, 0.0], atol=1e-10)
@@ -112,7 +121,8 @@ def test_velocity_reversal_retraces_the_path():
 def test_midstep_outputs_feed_current_deposit():
     ens = _single([0.1, 0.2, -0.1], [0.5, -0.25, 0.0])
     zero = _constant_field([0.0, 0.0, 0.0])
-    cic, (mid_cic, vmid) = pusher.step(ens, zero, 0.1, midpoint=True)
+    cic = _setup(ens)
+    mid_cic, vmid = pusher.step(ens, zero, 0.1, cic, midpoint=True)
     # free streaming: midpoint is the half-step drift at constant velocity
     inbox, base, frac = kernels.cic_setup(
         np.array([[0.125, 0.1875, -0.1]]), GRID.origin, GRID.spacing, GRID.nodes
@@ -120,12 +130,12 @@ def test_midstep_outputs_feed_current_deposit():
     assert (mid_cic[0] == inbox).all() and (mid_cic[1] == base).all()
     assert np.allclose(mid_cic[2], frac, atol=1e-14 / GRID.spacing)
     assert np.allclose(vmid[0], [0.5, -0.25, 0.0], atol=1e-14)
-    # the returned setup is that of the drifted position
+    # the setup is refilled with that of the drifted position
     _, _, frac = cic
     s = (ens.positions[0] - GRID.origin) / GRID.spacing
     assert np.array_equal(frac[0], s - np.floor(s))
     # without midpoint, a step allocates no midpoint outputs
-    assert pusher.step(ens, zero, 0.1)[1] is None
+    assert pusher.step(ens, zero, 0.1, cic) is None
 
 
 def test_stability_advisories():

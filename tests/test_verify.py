@@ -65,9 +65,9 @@ def test_q_order_check():
 
 def test_density_bound_check():
     s = _series()
-    assert verify.check_density_bound(s)["verdict"] == "pass"
+    assert verify.check_density_bound(s, applicable=True)["verdict"] == "pass"
     grows = _series(rho_inf=np.linspace(1.0, 25.0, 11))
-    out = verify.check_density_bound(grows)
+    out = verify.check_density_bound(grows, applicable=True)
     assert out["verdict"] == "fail"
     assert out["threshold"] == pytest.approx(10.0)
     assert verify.check_density_bound(grows, applicable=False)["verdict"] == "not-applicable"
@@ -77,7 +77,7 @@ def test_density_bound_discounts_spread_in_velocity():
     # rho_inf growing like (1 + q^3) is exactly the allowed envelope
     q = np.linspace(0.0, 2.0, 11)
     s = _series(q_star=q, rho_inf=2.0 * (1.0 + q**3))
-    out = verify.check_density_bound(s)
+    out = verify.check_density_bound(s, applicable=True)
     assert out["verdict"] == "pass"
     assert out["fitted_C"] == pytest.approx(2.0)
 
