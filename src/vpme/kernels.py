@@ -48,7 +48,7 @@ consecutive particles, in particle order (`block_slices`), and `blocks`
 cuts a setup into per-block views, one block setup per particle slice.
 Per-particle work is blocked freely, because no particle's result depends
 on another's: the setup, the gathers, the kicks, the drift, the half-step
-positions and velocities and the field integral. The scatters are the
+setup and the field integral. The scatters are the
 exception. A node sums the contributions of many particles, so their order
 sets its rounding; the deposits therefore loop the corners outside the
 blocks, and for each corner np.add.at runs over the blocks in particle
@@ -62,17 +62,16 @@ BLOCK (tests/test_config.py runs two scenarios at two block sizes).
 
 Working memory per particle: the setup, about 33 bytes for every particle,
 escaped ones included, lives the whole run, because the push refills each
-block's rows in place with the setup of the drifted positions; the deposits
-add the zero-padded weights (8 bytes). On checkpoint steps only, the push
-also fills the midpoint outputs, 57 bytes per particle: a setup of the
-half-step positions and the half-step velocities, which the current deposit
-reads. Everything else is per block: about 100 bytes per block particle in
-the push, refill and midpoint outputs included (89 without them), so 1.7 MB
-at BLOCK = 16384, whatever the particle count; the gather accumulates
-straight into its output and needs no buffer of its own. BLOCK was chosen
-from 16384, 32768 and 65536 on the three benchmark workloads (CHANGES.md):
-the kernel times did not move beyond noise, and dense-ions' peak RSS rose
-with the block, 145.7, 146.1 and 147.5 MB.
+block's rows in place; the deposits add the zero-padded weights (8 bytes).
+On a checkpoint step the push's opening pass leaves in the setup that of the
+half-step positions, and the ions' velocities are the half-step ones, so the
+current deposit between the passes needs no per-particle midpoint outputs.
+Everything else is per block: about 100 bytes per block particle in the
+push, so 1.7 MB at BLOCK = 16384, whatever the particle count; each kick adds
+its own half of the field integral, and the gather accumulates straight into
+its output. BLOCK was chosen from 16384, 32768 and 65536 on the three
+benchmark workloads (CHANGES.md): the kernel times did not move beyond noise,
+and dense-ions' peak RSS rose with the block, 145.7, 146.1 and 147.5 MB.
 
 EDGE_TOL (in index units) absorbs the rounding of (x - x0)/h for particles
 sitting exactly on the box faces; without it a node-lattice particle at +L
@@ -111,10 +110,9 @@ def component_major(a, zeros=False):
 
 def empty_setup(n):
     """Unfilled setup arrays for ``n`` particles: (in-box mask, base, (n, 3) fractions)."""
-    # the largest array first: with the run's setup built once and a fresh
-    # one only for a checkpoint's midpoint outputs, dense-ions peak RSS read
-    # 131.6-131.9 MB this way and 131.5-132.1 MB mask first (three runs
-    # each, CHANGES.md), so the order is within noise there
+    # the largest array first: dense-ions peak RSS read 131.6-131.9 MB this
+    # way and 131.5-132.1 MB mask first (three runs each, CHANGES.md), so
+    # the order is within noise there
     frac = component_major(n)
     base = np.empty(n, dtype=np.int64)
     inbox = np.empty(n, dtype=bool)
@@ -143,7 +141,7 @@ def fill_setup(pos, x0, h, nodes, cic):
     s /= h
     ok = (s >= -EDGE_TOL) & (s <= nodes - 1.0 + EDGE_TOL)
     inbox[:] = ok[:, 0] & ok[:, 1] & ok[:, 2]
-    s[~inbox] = 0.0
+    np.copyto(s, 0.0, where=~inbox[:, None])
     np.clip(s, 0.0, nodes - 1.0, out=s)
     idx = s.astype(np.int64)
     np.minimum(idx, nodes - 2, out=idx)
@@ -257,26 +255,28 @@ def gather_vec(grid, cic, out):
         block[:] = 0.0
         for off, cw in corners(frac, grid.shape[0]):
             for a, plane in zip(block.T, planes):
-                a += cw * plane[off:].take(base)
-        block[~inb] = 0.0
+                t = plane[off:].take(base)
+                t *= cw
+                a += t
+        np.copyto(block, 0.0, where=~inb[:, None])
     return out
 
 
-def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic, mid=None):
-    """One kick-drift-kick step in place, in one pass over the blocks.
+def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic, midpoint=None):
+    """One kick-drift-kick step in place, in two passes over the blocks.
 
-    ``cic`` is the setup of ``pos``. Each block gathers E at its rows,
-    kicks and drifts, then refills its rows with the setup of the drifted
-    positions and gathers again for the closing kick, so on return ``cic``
-    is the setup of the drifted ``pos``. Both kicks read the same frozen
-    field and a block's rows are refilled only after its opening gather,
-    so the result is that of two whole-array passes.
+    ``cic`` is the setup of ``pos``. The opening pass gathers E at each
+    block's rows into one block buffer, kicks and drifts; the closing pass
+    refills the rows with the setup of the drifted positions, gathers again
+    and kicks, so on return ``cic`` is the setup of the drifted ``pos``.
+    Each kick adds its 0.5 dt |E| to ``fint``. Both kicks read the same
+    frozen field, so the result is that of two whole-array passes.
 
-    ``mid``, when given, is a pair (setup arrays, (n, 3) array) that
-    receives the midpoint outputs: the setup of the half-step positions
-    ``pos + 0.5 dt v`` and the velocities ``v`` after the opening kick.
-    The gathered E goes to one block buffer, which both gathers of every
-    block fill.
+    ``midpoint``, when given, is called once between the passes and its
+    result returned (else None). The opening pass then refills each block's
+    rows, right after its gather, with the setup of the half-step positions
+    ``pos + 0.5 dt v``: between the passes ``cic`` holds that setup and
+    ``vel`` the velocities after the opening kick.
     """
     nodes = egrid.shape[0]
     e = component_major(min(pos.shape[0], BLOCK))
@@ -284,18 +284,19 @@ def push_kdk(pos, vel, fint, egrid, x0, h, dt, cic, mid=None):
         # gather_vec by its module-global name, so a wrapper installed there
         # sees both gathers of every block
         eb = gather_vec(egrid, blk, e[: blk[0].shape[0]])
-        v, p, f = vel[sl], pos[sl], fint[sl]
+        v, p = vel[sl], pos[sl]
         v += 0.5 * dt * eb
-        if mid is not None:
-            mid_cic, vmid = mid
-            vmid[sl] = v
-            fill_setup(p + 0.5 * dt * v, x0, h, nodes, tuple(a[sl] for a in mid_cic))
+        fint[sl] += 0.5 * dt * np.sqrt(row_norm2(eb))
+        if midpoint is not None:
+            fill_setup(p + 0.5 * dt * v, x0, h, nodes, blk)
         p += dt * v
-        n1 = np.sqrt(row_norm2(eb))
-        fill_setup(p, x0, h, nodes, blk)
-        gather_vec(egrid, blk, eb)
-        v += 0.5 * dt * eb
-        f += 0.5 * dt * (n1 + np.sqrt(row_norm2(eb)))
+    out = None if midpoint is None else midpoint()
+    for sl, blk in blocks(cic):
+        fill_setup(pos[sl], x0, h, nodes, blk)
+        eb = gather_vec(egrid, blk, e[: blk[0].shape[0]])
+        vel[sl] += 0.5 * dt * eb
+        fint[sl] += 0.5 * dt * np.sqrt(row_norm2(eb))
+    return out
 
 
 # only so that perfbench/spans.py, which wraps this name, still finds it

@@ -9,7 +9,9 @@ integral dominates the realized velocity deviation by construction.
 Both kicks gather through a cloud-in-cell setup (``kernels.cic_setup``) of
 the current positions, which ``step`` refills in place with the setup of
 the drifted positions. The caller builds it once and hands it to every
-step.
+step. On a checkpoint step the opening pass (kick, drift) leaves in it the
+setup of the half-step positions, where the midpoint current is deposited
+before the closing pass (kick).
 """
 
 import math
@@ -43,16 +45,16 @@ def step(ensemble, e, dt, cic, midpoint=False):
     """Advance one kick-drift-kick step in place in the field ``e`` (a VectorField).
 
     ``cic`` is the CIC setup of the current positions; on return it holds
-    the setup of the drifted positions. With ``midpoint``, the step also
-    allocates and fills the midpoint outputs that feed the midpoint current
-    deposit: the CIC setup of the half-step drift positions and the
-    half-step velocities. Returns ``(midpoint setup, velocities)``, or None
-    without ``midpoint``.
+    the setup of the drifted positions. With ``midpoint``, the step deposits
+    the midpoint current between its two kicks, at the setup of the
+    half-step positions ``x + 0.5 dt v`` with the half-step velocities, and
+    returns it as a VectorField; without it, the step returns None.
     """
-    mid = None
-    if midpoint:
-        mid = kernels.empty_setup(ensemble.count), kernels.component_major(ensemble.count)
-    kernels.push_kdk(
+
+    def current():
+        return mesh.current_from_arrays(cic, ensemble.velocities, ensemble.weights, e.grid)
+
+    return kernels.push_kdk(
         ensemble.positions,
         ensemble.velocities,
         ensemble.field_integral,
@@ -61,9 +63,8 @@ def step(ensemble, e, dt, cic, midpoint=False):
         e.grid.spacing,
         dt,
         cic,
-        mid,
+        current if midpoint else None,
     )
-    return mid
 
 
 def stability_check(v2max, e, dt):

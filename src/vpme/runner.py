@@ -5,9 +5,11 @@
 ``index.json``. ``verify_path`` and ``plot_data`` take either kind of
 directory and walk a sweep's members through one reader of its index.
 
-Loop shape: kick-drift-kick with the current field -> deposit rho -> solve
-the field, strictly in that order; the electron solve warm-starts from the
-previous step's solution, its correction and its Newton border columns.
+Loop shape: kick-drift-kick with the current field, as two passes over the
+ion blocks with the midpoint current deposited between them on a checkpoint
+step -> deposit rho -> solve the field, strictly in that order; the
+electron solve warm-starts from the previous step's solution, its
+correction and its Newton border columns.
 t = 0 is the deposit and solve without a push.
 Each deposit is followed by the escaped-mass gate. Each checkpoint (t = 0,
 every ``checkpoint_every`` steps and the last step) is one pass: the
@@ -19,10 +21,9 @@ field snapshot is written when requested.
 One CIC setup per ion position: the runner builds the setup of the t = 0
 positions once, and each ``pusher.step`` refills it in place with the setup
 of the drifted positions, which the deposit then reads. On a checkpoint
-step the runner also asks the push for the midpoint outputs, the setup of
-the half-step positions and the half-step velocities; the current deposit
-reads them after the field solve, and they are dropped before the
-diagnostics are recorded.
+step the push holds the setup of the half-step positions in it between its
+two kicks, and deposits the midpoint current there; the step returns that
+current, which the continuity residual reads after the field solve.
 
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
@@ -168,14 +169,11 @@ def run(cfg, out_dir, seed=None):
         steps = cfg.time.steps
         for n in range(1, steps + 1):
             checkpoint = n % cfg.time.checkpoint_every == 0 or n == steps
-            mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
+            j_mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
             rho_prev, rho = rho, _deposit(n)
             if selfconsistent:
                 sol = fieldsolve.solve_field(rho, g, cfg.epsilon, warm=sol)
             if checkpoint:
-                j_mid = mesh.current_from_arrays(*mid, ens.weights, cfg.grid)
-                # the midpoint outputs go before record allocates its own
-                mid = None
                 _checkpoint(n, diagnostics.continuity_residual(rho_prev, rho, j_mid, dt))
     except (EscapedMassError, fieldsolve.FieldSolveError) as exc:
         status = "escaped-mass-gate" if isinstance(exc, EscapedMassError) else "solver-failure"

@@ -180,10 +180,11 @@ def test_particle_block_size_moves_no_output(tmp_path, monkeypatch):
 
 
 def test_one_cic_setup_per_ion_position_per_step(tmp_path, monkeypatch):
-    # the one setup is built at t = 0; each step refills it in place with the
-    # drifted positions (shared by the closing gather, the deposit and the
-    # next opening gather), and each checkpoint step after t = 0 also fills
-    # a midpoint setup of the half-step positions, one row per ion each
+    # the one setup is built at t = 0; each step's closing pass refills it in
+    # place with the drifted positions (shared by the closing gather, the
+    # deposit and the next opening gather), and on each checkpoint step after
+    # t = 0 the opening pass first refills it with the half-step positions
+    # for the current deposit, one row per ion each
     calls, filled = [], []
     setup, fill = kernels.cic_setup, kernels.fill_setup
 

@@ -259,9 +259,12 @@ def test_push_semantics_single_particle():
     p = pos.copy()
     v = vel.copy()
     fint = np.zeros(1)
-    vm = np.empty_like(v)
-    mid_cic = kernels.empty_setup(1)
-    kernels.push_kdk(p, v, fint, egrid, X0, H, dt, _setup(p), mid=(mid_cic, vm))
+    cic = _setup(p)
+
+    def midpoint():
+        return [a.copy() for a in cic], v.copy()
+
+    mid_cic, vm = kernels.push_kdk(p, v, fint, egrid, X0, H, dt, cic, midpoint)
     assert np.allclose(p[0], x1, atol=1e-15)
     assert np.allclose(v[0], v1, atol=1e-15)
     assert np.allclose(vm[0], v_half, atol=1e-15)
@@ -288,15 +291,17 @@ def test_push_repeat_is_bitwise_deterministic():
 
 
 def _ref_push(pos, vel, fint, egrid, dt, xmid, vmid):
-    # the unblocked kick-drift-kick, with whole-array E and |E| temporaries
+    # the unblocked kick-drift-kick, with whole-array E and |E| temporaries;
+    # each kick adds its half of the field integral
     e1 = _ref_gather(egrid, pos)
     vel += 0.5 * dt * e1
+    fint += 0.5 * dt * np.sqrt(kernels.row_norm2(e1))
     vmid[:] = vel
     xmid[:] = pos + 0.5 * dt * vel
     pos += dt * vel
     e2 = _ref_gather(egrid, pos)
     vel += 0.5 * dt * e2
-    fint += 0.5 * dt * (np.sqrt(kernels.row_norm2(e1)) + np.sqrt(kernels.row_norm2(e2)))
+    fint += 0.5 * dt * np.sqrt(kernels.row_norm2(e2))
 
 
 def _block_edge_cloud(block):
@@ -333,10 +338,14 @@ def test_blocked_push_matches_unblocked_push_bitwise(monkeypatch, block):
     egrid = RNG.standard_normal((NODES,) * 3 + (3,))
     got = [pos.copy(), vel.copy(), np.zeros(len(pos))]
     ref = [a.copy() for a in got] + [np.empty_like(pos), np.empty_like(pos)]
-    mid = kernels.empty_setup(len(pos)), np.empty_like(vel)
     cic = _setup(pos)
+
+    def midpoint():
+        # the setup of the half-step positions and the half-step velocities
+        return [a.copy() for a in cic], got[1].copy()
+
     for _ in range(3):
-        kernels.push_kdk(*got, egrid, X0, H, 0.01, cic, mid)
+        mid = kernels.push_kdk(*got, egrid, X0, H, 0.01, cic, midpoint)
         _ref_push(*ref[:3], egrid, 0.01, *ref[3:])
         for a, b in zip(got + [mid[1]], ref[:3] + ref[4:]):
             assert (a == b)[~np.isnan(b)].all() and (np.isnan(a) == np.isnan(b)).all()
@@ -356,12 +365,11 @@ def test_push_working_memory_is_the_field_grid_plus_a_block():
     fint = np.zeros(n)
     egrid = rng.standard_normal((NODES,) * 3 + (3,))
     cic = _setup(pos)
-    mid = kernels.empty_setup(n), np.empty_like(vel)
     peaks = []
     tracemalloc.start()
     try:
-        # without and with the (preallocated) midpoint outputs
-        for m in (None, mid):
+        # without and with a midpoint, which here does nothing
+        for m in (None, lambda: None):
             tracemalloc.reset_peak()
             kernels.push_kdk(pos, vel, fint, egrid, X0, H, 0.01, cic, m)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -375,7 +383,7 @@ def test_push_working_memory_is_the_field_grid_plus_a_block():
 
 
 def test_push_gathers_twice_per_block(monkeypatch):
-    # 2.5 blocks: the opening and closing gather of each of three blocks
+    # 2.5 blocks: the opening gathers of the three blocks, then the closing ones
     block = 64
     monkeypatch.setattr(kernels, "BLOCK", block)
     n = 5 * block // 2
@@ -391,7 +399,7 @@ def test_push_gathers_twice_per_block(monkeypatch):
     monkeypatch.setattr(kernels, "gather_vec", counted)
     egrid = RNG.standard_normal((NODES,) * 3 + (3,))
     kernels.push_kdk(pos, vel, np.zeros(n), egrid, X0, H, 0.01, _setup(pos))
-    assert calls == [block, block, block, block, block // 2, block // 2]
+    assert calls == [block, block, block // 2, block, block, block // 2]
 
 
 def _has_component_planes(a):

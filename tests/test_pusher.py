@@ -5,6 +5,7 @@ and trajectory error isolates the time discretization.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,23 +120,51 @@ def test_velocity_reversal_retraces_the_path():
 
 
 def test_midstep_outputs_feed_current_deposit():
-    ens = _single([0.1, 0.2, -0.1], [0.5, -0.25, 0.0])
-    zero = _constant_field([0.0, 0.0, 0.0])
-    cic = _setup(ens)
-    mid_cic, vmid = pusher.step(ens, zero, 0.1, cic, midpoint=True)
-    # free streaming: midpoint is the half-step drift at constant velocity
-    inbox, base, frac = kernels.cic_setup(
-        np.array([[0.125, 0.1875, -0.1]]), GRID.origin, GRID.spacing, GRID.nodes
+    rng = np.random.default_rng(3)
+    ens = ParticleEnsemble(
+        positions=rng.uniform(-1.5, 1.5, (40, 3)),
+        velocities=rng.standard_normal((40, 3)),
+        weights=rng.uniform(0.5, 1.5, 40),
     )
-    assert (mid_cic[0] == inbox).all() and (mid_cic[1] == base).all()
-    assert np.allclose(mid_cic[2], frac, atol=1e-14 / GRID.spacing)
-    assert np.allclose(vmid[0], [0.5, -0.25, 0.0], atol=1e-14)
-    # the setup is refilled with that of the drifted position
-    _, _, frac = cic
-    s = (ens.positions[0] - GRID.origin) / GRID.spacing
-    assert np.array_equal(frac[0], s - np.floor(s))
-    # without midpoint, a step allocates no midpoint outputs
-    assert pusher.step(ens, zero, 0.1, cic) is None
+    field = _linear_field(-0.7)
+    dt = 0.1
+    x, v = ens.positions.copy(), ens.velocities.copy()
+    cic = _setup(ens)
+    e1 = kernels.gather_vec(field.values, cic, np.empty_like(x))
+    j_mid = pusher.step(ens, field, dt, cic, midpoint=True)
+    # the current at the half-step positions, with the velocities after the opening kick
+    v += 0.5 * dt * e1
+    half = kernels.cic_setup(x + 0.5 * dt * v, GRID.origin, GRID.spacing, GRID.nodes)
+    expect = mesh.current_from_arrays(half, v, ens.weights, GRID)
+    assert np.array_equal(j_mid.values, expect.values)
+    # the setup is refilled with that of the drifted positions
+    for a, b in zip(cic, _setup(ens)):
+        assert np.array_equal(a, b)
+    # without midpoint, a step deposits no current
+    assert pusher.step(ens, field, dt, cic) is None
+
+
+def test_checkpoint_step_allocates_no_per_ion_midpoint_arrays():
+    # a step that filled a second setup and a copy of the half-step
+    # velocities for the current deposit peaked at 13.0 MB here
+    rng = np.random.default_rng(8)
+    n = 200_000
+    ens = ParticleEnsemble(
+        positions=rng.uniform(-2.2, 2.2, (n, 3)),
+        velocities=rng.standard_normal((n, 3)),
+        weights=np.full(n, 1.0 / n),
+    )
+    e = VectorField(GRID, kernels.component_major(rng.standard_normal((GRID.nodes,) * 3 + (3,))))
+    cic = _setup(ens)
+    tracemalloc.start()
+    try:
+        pusher.step(ens, e, 0.01, cic, midpoint=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the deposit's in-box weights, the current and its raw sum, and the
+    # push's and the deposit's per-block work arrays
+    assert peak <= 8 * n + 2 * e.values.nbytes + 128 * kernels.BLOCK
 
 
 def test_stability_advisories():
