@@ -2,8 +2,10 @@
 
 A checkpoint is one ``DiagnosticsAccumulator.record`` call, which appends one
 row to each table: COLUMNS (timeseries.csv) and FIELD_COLUMNS (fields.csv).
-It computes each array both rows read once: exp(U), the electron density
-g e^U, |E|^2 per node and sum(v^2) per particle. The electron field
+It computes each grid array both rows read once: exp(U), the electron
+density g e^U and |E|^2 per node. The ions' kinetic energy, speed moments
+and largest squared speed come from one block-by-block pass,
+``particles.speed_sums``, so no per-particle array is built. The electron field
 E_hat = -grad Uhat enters only ``ehat_sup``, so its gradient is taken here,
 once per checkpoint, not in every field solve. ``electron_L1`` is the same
 number as the row's ``geU_L1``.
@@ -61,13 +63,12 @@ class EmptyTableError(SchemaError):
     """A persisted table has its header but no rows, as a run aborted at t = 0 leaves it."""
 
 
-def energy(weights, v2, field_solution, g, exp_u, e2):
+def energy(kinetic, field_solution, g, exp_u, e2):
     """Discrete energy functional split: (kinetic, field, electron, total).
 
-    ``v2`` is sum(v^2) per particle, ``exp_u`` is exp(U) and ``e2`` is |E|^2
+    ``kinetic`` is sum_p w_p |v_p|^2, ``exp_u`` is exp(U) and ``e2`` is |E|^2
     per node.
     """
-    kinetic = float((weights * v2).sum())
     vol = g.grid.cell_volume
     field_term = field_solution.epsilon**2 * float(e2.sum()) * vol
     u = field_solution.u.values
@@ -115,10 +116,9 @@ class DiagnosticsAccumulator:
         e = field_solution.e.values
         # (x*x + y*y) + z*z, the bits of (e**2).sum(axis=-1) at a fifth of its time
         e2 = kernels.row_norm2(e)
-        v2 = kernels.row_norm2(ensemble.velocities)
+        kinetic, moments, v2max = particles.speed_sums(ensemble.velocities, ensemble.weights, self.k_list)
         field_row = field_table_row(t, field_solution, e2, g_exp_u)
-        kin, fld, ele, tot = energy(ensemble.weights, v2, field_solution, g, exp_u, e2)
-        moments = particles.instantaneous_moments(ensemble.weights, v2, self.k_list)
+        kin, fld, ele, tot = energy(kinetic, field_solution, g, exp_u, e2)
         for k in self.k_list:
             self.running[k] = max(self.running[k], moments[k])
         k2, km, k3 = self.k_list
@@ -146,7 +146,7 @@ class DiagnosticsAccumulator:
             ensemble.escaped_mass,
         ])
         self._field_rows.append(field_row)
-        return float(v2.max())
+        return v2max
 
     def rows(self):
         """The recorded timeseries.csv rows, each in COLUMNS order."""

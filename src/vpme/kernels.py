@@ -4,9 +4,9 @@ One numpy implementation, serial with a fixed particle order, so same-seed
 runs are bitwise reproducible.
 
 Particles outside the node box [x0, x0 + (N-1)h]^3 deposit nothing and see a
-zero field; the density deposit returns the in-box weight so callers can
-track escaped mass. Deposit and gather share the same trilinear weights
-(adjoint pair).
+zero field; the density deposit returns the escaped weight, the sum of the
+weights outside the box, so callers can track escaped mass. Deposit and
+gather share the same trilinear weights (adjoint pair).
 
 The CIC rule: a particle is in the box when -EDGE_TOL <= s <= N-1+EDGE_TOL on
 each axis, s = (x - x0)/h; s is clamped to [0, N-1], the base index to N-2,
@@ -18,9 +18,9 @@ CIC setup, `cic_setup`, serves every kernel that reads or writes at the same
 positions. It holds one row per particle: the boolean in-box mask, the base
 node (ix*N + iy)*N + iz and the (n, 3) fractions. An escaped particle keeps
 its row, at cell 0 with zero fractions, and its mask entry acts as a weight,
-not as an index: the deposits scatter the weights where the mask is set and
-zero elsewhere, and the gather zeroes the rows the mask leaves out. So the
-kernels know one index space, the particles'. `corner` gives one corner's
+not as an index: the deposits scatter zero for the rows the mask leaves
+out, and the gather zeroes them. So the kernels know one index space, the
+particles'. `corner` gives one corner's
 (flat offset, weight) pair, `corners` all eight in order for the gather.
 A corner's offset is applied as a view, not added to the base nodes: a
 kernel indexes the flat array from the offset on (`flat[off:]`) with the
@@ -54,16 +54,21 @@ sets its rounding; the deposits therefore loop the corners outside the
 blocks, and for each corner np.add.at runs over the blocks in particle
 order. Each node then receives the same additions in the same order as one
 whole-array np.add.at per corner, and so the same bits; blocks outside
-corners would interleave the corners and move the rounding. The in-box
-weight that ``deposit`` returns is one pairwise sum over the in-box weights
-alone, because a pairwise sum depends on the block layout, and a sum over
-the zero-padded weights would pair them differently. No output depends on
-BLOCK (tests/test_config.py runs two scenarios at two block sizes).
+corners would interleave the corners and move the rounding. Sums over the
+particles, such as the checkpoint's kinetic energy and speed moments, are
+blocked too: numpy sums a contiguous float array pairwise over a fixed tree,
+and ``pairwise_sum`` walks that tree and hands each subtree of at most
+max(BLOCK, 128) particles to a per-block function, so the blocked sum has
+the bits of numpy's whole-array sum. The escaped weight that ``deposit``
+returns is one numpy sum over the escaped rows' weights, which are few. No
+output depends on BLOCK (tests/test_config.py runs two scenarios at two
+block sizes).
 
 Working memory per particle: the setup, about 33 bytes for every particle,
 escaped ones included, lives the whole run, because the push refills each
-block's rows in place; the deposits add the zero-padded weights (8 bytes).
-On a checkpoint step the push's opening pass leaves in the setup that of the
+block's rows in place. The one per-particle temporary is the density
+deposit's escaped-row mask (1 byte), which selects the weights it sums. On
+a checkpoint step the push's opening pass leaves in the setup that of the
 half-step positions, and the ions' velocities are the half-step ones, so the
 current deposit between the passes needs no per-particle midpoint outputs.
 Everything else is per block: about 100 bytes per block particle in the
@@ -192,15 +197,39 @@ def _scatter_order(cic, weights, nodes):
     """(particle slice, corner offset, base nodes, weighted corner weights) per block, corners outside blocks.
 
     A corner's nodes are ``base`` in the target's flat view shifted by the
-    offset. An escaped particle's weight is zero, which moves no bit of the
-    target.
+    offset. An escaped particle's weighted corner weights are +0.0, which
+    move no bit of the target: its zero fractions give corners 1-7 a zero
+    weight, so only corner 0 is masked. The weights must be finite, as a
+    zero times an infinite weight is NaN.
     """
-    w = np.where(cic[0], weights, 0.0)
     for k in range(8):
-        for sl, (_, base, frac) in blocks(cic):
+        for sl, (inb, base, frac) in blocks(cic):
             off, cw = corner(frac, nodes, k)
-            cw *= w[sl]
+            cw *= weights[sl]
+            if k == 0:
+                np.copyto(cw, 0.0, where=~inb)
             yield sl, off, base, cw
+
+
+def pairwise_sum(n, leaf):
+    """numpy's pairwise sum of ``n`` items, with ``leaf(lo, hi)`` summing each subtree.
+
+    numpy sums a contiguous float array pairwise: while more than 128 items
+    remain, it splits them at n // 2 - (n // 2) % 8 and adds the two halves'
+    sums. This walks the same tree down to subtrees of at most
+    max(BLOCK, 128) items, so ``pairwise_sum(n, lambda lo, hi: a[lo:hi].sum())``
+    is bitwise ``a.sum()``. A leaf may return an array of several sums.
+    Leaves are never cut below numpy's 128: at a smaller BLOCK, 8 to 15 items
+    would split into an empty half and themselves, without end.
+    """
+
+    def walk(lo, m):
+        if m <= max(BLOCK, 128):
+            return leaf(lo, lo + m)
+        half = m // 2 - (m // 2) % 8
+        return walk(lo, half) + walk(lo + half, m - half)
+
+    return walk(0, n)
 
 
 def row_norm2(a):
@@ -216,15 +245,15 @@ def _flat_view(out):
 
 
 def deposit(cic, weights, out):
-    """Scatter ``weights`` at the setup ``cic`` into ``out``; returns the in-box weight.
+    """Scatter ``weights`` at the setup ``cic`` into ``out``; returns the escaped weight.
 
-    Escaped particles scatter zero; the returned weight is one pairwise sum
-    over the in-box weights alone (the module's block rule).
+    Escaped particles scatter zero; the returned weight is the sum of their
+    weights.
     """
     flat = _flat_view(out)
     for _, off, base, cw in _scatter_order(cic, weights, out.shape[0]):
         np.add.at(flat[off:], base, cw)
-    return float(weights[cic[0]].sum())
+    return float(weights[~cic[0]].sum())
 
 
 def deposit_vec(cic, weights, vec, out):

@@ -85,13 +85,14 @@ class VectorField:
 
 
 def deposit_density(ensemble, grid, cic):
-    """Trilinear-deposited number density; updates ensemble.escaped_mass.
+    """Trilinear-deposited number density; sets ensemble.escaped_mass.
 
     ``cic`` is the CIC setup of the ensemble's positions (``kernels.cic_setup``).
+    The escaped mass is the sum of the weights of the ions outside the box,
+    as ``kernels.deposit`` returns it.
     """
     raw = np.zeros((grid.nodes,) * 3)
-    inbox = kernels.deposit(cic, ensemble.weights, raw)
-    ensemble.escaped_mass = max(0.0, ensemble.total_weight - inbox)
+    ensemble.escaped_mass = kernels.deposit(cic, ensemble.weights, raw)
     return ScalarField(grid, raw / grid.cell_volume)
 
 

@@ -3,7 +3,13 @@
 Tracked per particle besides phase-space state: the initial velocity (for the
 max velocity deviation sup|v(t) - v(0)|) and the running time integral of |E|
 along the trajectory (whose max over particles bounds that deviation from
-above, by the triangle inequality applied to each kick).
+above, by the triangle inequality applied to each kick). A sampled ensemble
+stores its one weight once, as a read-only view of every particle.
+
+The velocity diagnostics work block by block (the ``kernels`` block rule):
+``speed_sums`` computes |v|^2, |v| and its powers per block and sums them
+on numpy's pairwise tree (``kernels.pairwise_sum``), so they hold the bits
+of whole-array sums and no array grows with the particle count.
 """
 
 import math
@@ -66,7 +72,8 @@ class ParticleEnsemble:
     def __post_init__(self):
         self.positions = kernels.component_major(self.positions)
         self.velocities = kernels.component_major(self.velocities)
-        self.weights = np.ascontiguousarray(self.weights, dtype=float)
+        # asarray, so that the stride-0 weights of a sampled ensemble stay a view
+        self.weights = np.asarray(self.weights, dtype=float)
         n = self.positions.shape[0]
         if n < 1:
             raise ValueError("ensemble needs at least one particle")
@@ -74,8 +81,10 @@ class ParticleEnsemble:
             raise ValueError("positions and velocities must both be (n, 3)")
         if self.weights.shape != (n,):
             raise ValueError("weights must be (n,)")
-        if not (self.weights > 0.0).all():
-            raise ValueError("particle weights must all be positive")
+        # the deposits give an escaped particle zero weight by multiplying its
+        # weight by zero, which an infinite weight would turn into NaN
+        if not ((self.weights > 0.0).all() and np.isfinite(self.weights).all()):
+            raise ValueError("particle weights must all be positive and finite")
         self.initial_velocities = self.velocities.copy(order="K")
         self.field_integral = np.zeros(n)
         self.escaped_mass = 0.0
@@ -94,10 +103,23 @@ class ParticleEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def instantaneous_moments(weights, v2, ks):
-    """{k: sum_p w_p |v_p|^k} for each k in ks, from v2 = sum(v^2) per particle."""
-    speed = np.sqrt(v2)
-    return {k: float((weights * speed**k).sum()) for k in ks}
+def speed_sums(velocities, weights, ks):
+    """(sum_p w_p |v_p|^2, {k: sum_p w_p |v_p|^k} for each k in ks, max_p |v_p|^2), block by block.
+
+    Each sum has the bits of the whole-array numpy sum (``kernels.pairwise_sum``);
+    |v|^2 is ``kernels.row_norm2``. A NaN speed makes the maximum NaN.
+    """
+    maxima = []
+
+    def leaf(lo, hi):
+        v2 = kernels.row_norm2(velocities[lo:hi])
+        maxima.append(v2.max())
+        w = weights[lo:hi]
+        speed = np.sqrt(v2)
+        return np.array([(w * v2).sum()] + [(w * speed**k).sum() for k in ks])
+
+    sums = kernels.pairwise_sum(weights.shape[0], leaf)
+    return float(sums[0]), {k: float(s) for k, s in zip(ks, sums[1:])}, float(np.max(maxima))
 
 
 def q_star(ensemble):
@@ -160,7 +182,7 @@ def sample_initial(spec, count, seed):
         direction = rng.standard_normal((count, 3))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         velocities = speeds[:, None] * direction
-    weights = np.full(count, 1.0 / count)
+    weights = np.broadcast_to(1.0 / count, (count,))
     return ParticleEnsemble(positions=positions, velocities=velocities, weights=weights)
 
 

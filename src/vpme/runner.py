@@ -11,9 +11,11 @@ step -> deposit rho -> solve the field, strictly in that order; the
 electron solve warm-starts from the previous step's solution, its
 correction and its Newton border columns.
 t = 0 is the deposit and solve without a push.
-Each deposit is followed by the escaped-mass gate. Each checkpoint (t = 0,
-every ``checkpoint_every`` steps and the last step) is one pass: the
-midpoint current gives the continuity residual, one
+Each deposit is followed by the escaped-mass gate. On a checkpoint step the
+midpoint current and the two densities give the continuity residual right
+after the deposit, so that neither the current nor the old density is held
+through the field solve. Each checkpoint (t = 0, every
+``checkpoint_every`` steps and the last step) is then one pass: one
 ``DiagnosticsAccumulator.record`` call appends the rows of both
 timeseries.csv and fields.csv, the step-size advisories are merged, and the
 field snapshot is written when requested.
@@ -23,7 +25,7 @@ positions once, and each ``pusher.step`` refills it in place with the setup
 of the drifted positions, which the deposit then reads. On a checkpoint
 step the push holds the setup of the half-step positions in it between its
 two kicks, and deposits the midpoint current there; the step returns that
-current, which the continuity residual reads after the field solve.
+current, which the continuity residual reads before the field solve.
 
 Failure handling: whatever was recorded before an abort is persisted, then
 the error propagates (the CLI maps it to an exit code). Breaching the
@@ -171,10 +173,15 @@ def run(cfg, out_dir, seed=None):
             checkpoint = n % cfg.time.checkpoint_every == 0 or n == steps
             j_mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
             rho_prev, rho = rho, _deposit(n)
+            if checkpoint:
+                cres = diagnostics.continuity_residual(rho_prev, rho, j_mid, dt)
+            # both grids are dead once the residual is taken; freed here,
+            # they are not held through the field solve
+            del j_mid, rho_prev
             if selfconsistent:
                 sol = fieldsolve.solve_field(rho, g, cfg.epsilon, warm=sol)
             if checkpoint:
-                _checkpoint(n, diagnostics.continuity_residual(rho_prev, rho, j_mid, dt))
+                _checkpoint(n, cres)
     except (EscapedMassError, fieldsolve.FieldSolveError) as exc:
         status = "escaped-mass-gate" if isinstance(exc, EscapedMassError) else "solver-failure"
         error_msg = str(exc)

@@ -32,9 +32,9 @@ def _cold(n=4):
 
 
 def _energy(ens, sol, g):
-    v2 = (ens.velocities**2).sum(axis=1)
+    kinetic = float((ens.weights * (ens.velocities**2).sum(axis=1)).sum())
     e2 = (sol.e.values**2).sum(axis=-1)
-    return diagnostics.energy(ens.weights, v2, sol, g, np.exp(sol.u.values), e2)
+    return diagnostics.energy(kinetic, sol, g, np.exp(sol.u.values), e2)
 
 
 def _field_row(t, sol, g):
