@@ -37,14 +37,16 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (module, attribute) of each phase, in the order a run first calls them
+# (module, attribute) of each phase: the set-up's, then a step's in the order the loop calls them
 PHASES = (
     ("particles", "sample_initial"),
     ("kernels", "cic_setup"),
-    ("mesh", "deposit_density"),
     ("pusher", "step"),
+    ("mesh", "deposit_density"),
+    ("diagnostics", "continuity_residual"),
     ("fieldsolve", "solve_field"),
     ("diagnostics", "DiagnosticsAccumulator.record"),
+    ("mesh", "write_field"),
 )
 
 

@@ -2,13 +2,16 @@
 
 A checkpoint is one ``DiagnosticsAccumulator.record`` call, which appends one
 row to each table: COLUMNS (timeseries.csv) and FIELD_COLUMNS (fields.csv).
-It computes each grid array both rows read once: exp(U), the electron
-density g e^U and |E|^2 per node. The ions' kinetic energy, speed moments
-and largest squared speed come from one block-by-block pass,
-``particles.speed_sums``, so no per-particle array is built. The electron field
-E_hat = -grad Uhat enters only ``ehat_sup``, so its gradient is taken here,
-once per checkpoint, not in every field solve. ``electron_L1`` is the same
-number as the row's ``geU_L1``.
+It computes each grid array both rows read once, and frees it after its
+last reader, so a checkpoint works in at most three grids: |E|^2 per node
+is reduced to its maximum and sum before exp(U) is built, the energy's
+electron term works in place in a new grid of U, and exp(U) becomes the
+electron density g e^U in place. The electron field E_hat = -grad Uhat
+enters only ``ehat_sup``, so its gradient is taken here, once per
+checkpoint, not in every field solve, one component at a time. The ions'
+kinetic energy, speed moments and largest squared speed come from one
+block-by-block pass, ``particles.speed_sums``, so no per-particle array is
+built. ``electron_L1`` is the same number as the row's ``geU_L1``.
 
 Both schemas are frozen. Floats are written with repr() (shortest round-trip
 form), so identical runs produce byte-identical files and parsing loses
@@ -66,24 +69,49 @@ class EmptyTableError(SchemaError):
 def energy(kinetic, field_solution, g, exp_u, e2):
     """Discrete energy functional split: (kinetic, field, electron, total).
 
-    ``kinetic`` is sum_p w_p |v_p|^2, ``exp_u`` is exp(U) and ``e2`` is |E|^2
-    per node.
+    ``kinetic`` is sum_p w_p |v_p|^2 and ``exp_u`` is exp(U) per node. ``e2``
+    is |E|^2 per node, or its sum alone, as ``record`` passes it: only
+    ``e2.sum()`` is read. The electron term works in place in the new grid
+    of ``field_solution.u``.
     """
     vol = g.grid.cell_volume
     field_term = field_solution.epsilon**2 * float(e2.sum()) * vol
-    u = field_solution.u.values
-    electron = 2.0 * float((((u - 1.0) * g.values) * exp_u).sum()) * vol
+    w = field_solution.u.values
+    w -= 1.0
+    w *= g.values
+    w *= exp_u
+    electron = 2.0 * float(w.sum()) * vol
     return kinetic, field_term, electron, kinetic + field_term + electron
 
 
+def _grad_sup(field):
+    """max |grad u| over the nodes, |.|^2 summed x, y, then z as ``kernels.row_norm2`` sums it.
+
+    One component at a time is differenced into one buffer and squared
+    into the accumulated |grad u|^2, so no (N, N, N, 3) gradient is built.
+    """
+    u, h = field.values, field.grid.spacing
+    acc = mesh.difference(u, h, 0, np.empty_like(u))
+    acc *= acc
+    buf = np.empty_like(u)
+    for d in (1, 2):
+        mesh.difference(u, h, d, buf)
+        buf *= buf
+        acc += buf
+    return float(np.sqrt(acc.max()))
+
+
 def field_table_row(t, field_solution, e2, g_exp_u):
-    """One fields.csv row in FIELD_COLUMNS order, from |E|^2 and g e^U per node."""
-    vol = field_solution.u.grid.cell_volume
-    grad_uhat = mesh.gradient(field_solution.uhat)  # -E_hat
+    """One fields.csv row in FIELD_COLUMNS order, from |E|^2 and g e^U per node.
+
+    ``e2`` is |E|^2 per node, or its maximum alone, as ``record`` passes it:
+    only ``e2.max()`` is read.
+    """
+    vol = field_solution.uhat.grid.cell_volume
     return [
         t,
         float(np.sqrt(e2.max())),
-        float(np.sqrt(kernels.row_norm2(grad_uhat).max())),
+        _grad_sup(field_solution.uhat),  # |E_hat|, E_hat = -grad Uhat
         float(field_solution.uhat.values.max()),
         float(g_exp_u.sum() * vol),
         float((g_exp_u**2).sum() * vol) ** 0.5,
@@ -96,8 +124,11 @@ def continuity_residual(rho_prev, rho_next, j_mid, dt):
     """L2 grid norm of the discrete continuity defect over one step."""
     if rho_prev.grid != rho_next.grid or rho_prev.grid != j_mid.grid:
         raise ValueError("continuity residual needs all fields on one grid")
-    r = (rho_next.values - rho_prev.values) / dt + mesh.divergence(j_mid)
-    return float(np.sqrt((r * r).sum() * rho_prev.grid.cell_volume))
+    r = rho_next.values - rho_prev.values
+    r /= dt
+    r += mesh.divergence(j_mid)
+    r *= r
+    return float(np.sqrt(r.sum() * rho_prev.grid.cell_volume))
 
 
 class DiagnosticsAccumulator:
@@ -111,14 +142,19 @@ class DiagnosticsAccumulator:
 
     def record(self, t, ensemble, field_solution, g, rho, continuity_res):
         """Append one checkpoint to both tables; returns the largest squared ion speed."""
-        exp_u = np.exp(field_solution.u.values)
-        g_exp_u = g.values * exp_u
-        e = field_solution.e.values
         # (x*x + y*y) + z*z, the bits of (e**2).sum(axis=-1) at a fifth of its time
-        e2 = kernels.row_norm2(e)
+        e2 = kernels.row_norm2(field_solution.e.values)
+        e2_max, e2_sum = e2.max(), e2.sum()
+        del e2
+        exp_u = np.exp(field_solution.u.values)
         kinetic, moments, v2max = particles.speed_sums(ensemble.velocities, ensemble.weights, self.k_list)
-        field_row = field_table_row(t, field_solution, e2, g_exp_u)
-        kin, fld, ele, tot = energy(kinetic, field_solution, g, exp_u, e2)
+        kin, fld, ele, tot = energy(kinetic, field_solution, g, exp_u, e2_sum)
+        # g e^U, the bits of g * exp(U): multiplication commutes
+        g_exp_u = exp_u
+        g_exp_u *= g.values
+        del exp_u
+        field_row = field_table_row(t, field_solution, e2_max, g_exp_u)
+        del g_exp_u
         for k in self.k_list:
             self.running[k] = max(self.running[k], moments[k])
         k2, km, k3 = self.k_list

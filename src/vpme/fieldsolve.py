@@ -65,12 +65,26 @@ converges on a residual evaluated in float64 (inexact Newton, Knoll & Keyes
 Newton stops at the first iterate that passes the contract residual and the
 Gauss gate (the summed interior residual times the cell volume, up to the ion
 solve's own summed defect) with a margin of CERTIFICATE_MARGIN.
+
+Memory. A FieldSolution keeps Ubar, Uhat, E (three grids) and the border
+columns; U = Ubar + Uhat is derived on access. A warm solve reads only the
+previous solution's ``warm_start`` (Uhat and the border columns), so a
+caller may drop the rest once it has read E. Inside ``solve_uhat`` every
+grid dies with its last reader: the start's source once the electron mass
+and centroid are read, a Newton state's source and residual once its
+Newton step is computed (the line search reads only its grid, merit, mu
+and c), the step once a trial is accepted. Each trial adds the step into
+the interior of its own new grid, with no interior temporary, and a cold
+start's screening guess is the start state's grid. The DST solve caches
+only the 1-D eigenvalues and the sine matrices; each shifted spectrum is
+built from them and dies with its Newton step.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,9 +143,22 @@ class UhatResult:
     source: np.ndarray = None
 
 
+class WarmStart(NamedTuple):
+    """What a warm electron solve reads of the solution it starts from."""
+
+    uhat: ScalarField
+    border_columns: np.ndarray
+    border_newton: int
+
+
 @dataclass
 class FieldSolution:
-    u: ScalarField
+    """One field solve: Ubar, Uhat and E = -grad U, with the solve's certificates.
+
+    U = Ubar + Uhat is not stored; ``u`` adds the two on each access into a
+    new grid, bitwise the U that ``solve_field`` differentiates.
+    """
+
     ubar: ScalarField
     uhat: ScalarField
     e: VectorField
@@ -146,6 +173,15 @@ class FieldSolution:
     border_columns: np.ndarray = None
     border_newton: int = None
 
+    @property
+    def u(self):
+        return ScalarField(self.ubar.grid, self.ubar.values + self.uhat.values)
+
+    @property
+    def warm_start(self):
+        """The part of this solution that a solve warm-started from it reads."""
+        return WarmStart(self.uhat, self.border_columns, self.border_newton)
+
 
 # ---------------------------------------------------------------------------
 # DST-I diagonalization of the Dirichlet Laplacian
@@ -153,13 +189,22 @@ class FieldSolution:
 
 
 @lru_cache(maxsize=8)
-def _neg_lap_eigs(m, h):
-    """Eigenvalues of -Lap_h (zero Dirichlet) on the m^3 interior lattice (read-only)."""
+def _neg_lap_eigs_1d(m, h):
+    """Eigenvalues of the 1-D -d^2/dx^2_h (zero Dirichlet) on m interior nodes (read-only)."""
     k = np.arange(1, m + 1)
     lam = (4.0 / h**2) * np.sin(0.5 * math.pi * k / (m + 1)) ** 2
-    out = lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
-    out.flags.writeable = False
-    return out
+    lam.flags.writeable = False
+    return lam
+
+
+def _neg_lap_eigs(m, h):
+    """Eigenvalues (lx + ly) + lz of -Lap_h (zero Dirichlet) on the m^3 interior, a new array.
+
+    Only the 1-D eigenvalues are cached: the 3-D array is as large as the
+    interior grid, so it is built where it is needed and dies there.
+    """
+    lam = _neg_lap_eigs_1d(m, h)
+    return lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
 
 
 @lru_cache(maxsize=8)
@@ -214,12 +259,22 @@ def dstn(x):
 def _shifted_lap_inverse(m, h, eps2, shift, dtype=np.float64):
     """Exact solve r -> x of (-eps2 Lap_h + shift) x = r on the m^3 interior, zero Dirichlet.
 
-    The shifted spectrum is built once here, in float64 and rounded to
-    ``dtype``; each call of the returned function is two transforms and one
-    division, in ``dtype`` for an input of that dtype.
+    The shifted spectrum eps2 ((lx + ly) + lz) + shift is built once here,
+    in float64 and rounded to ``dtype``; each call of the returned function
+    is two transforms and one division in place, in ``dtype`` for an input
+    of that dtype.
     """
-    lam = (eps2 * _neg_lap_eigs(m, h) + shift).astype(dtype, copy=False)
-    return lambda r: dstn(dstn(r) / lam)
+    lam = _neg_lap_eigs(m, h)
+    lam *= eps2
+    lam += shift
+    lam = lam.astype(dtype, copy=False)
+
+    def apply(r):
+        y = dstn(r)
+        y /= lam
+        return dstn(y)
+
+    return apply
 
 
 def _lap_interior(u, h):
@@ -452,9 +507,10 @@ _BORDER_UNKNOWNS = ("mu", "c_x", "c_y", "c_z")
 def solve_uhat(ubar, g, epsilon, warm=None):
     """Damped-Newton solve of eps^2 Lap Uhat = g exp(Ubar + Uhat).
 
-    ``warm``, an earlier FieldSolution on the same grid, warm-starts the
-    iteration from its ``uhat`` and hands over its ``border_columns`` and
-    ``border_newton``. Without it the solve starts cold, from the
+    ``warm``, an earlier FieldSolution on the same grid or its
+    ``warm_start``, warm-starts the iteration from its ``uhat`` and hands
+    over its ``border_columns`` and ``border_newton``, the only attributes
+    read. Without it the solve starts cold, from the
     quasi-neutral screening guess at every eps: on the workload shapes it
     is never more than one Newton step behind a zero start, and from eps
     0.3 down it saves 3 or more (6 against 17 at eps 0.15). A background
@@ -485,9 +541,11 @@ def solve_uhat(ubar, g, epsilon, warm=None):
     and takes 3 on those of the converged t = 0 state. The
     line search moves the interior, mu and c together on the merit
     max(|F|_inf, |G|, vol |H|_inf); the accepted trial's state is the next
-    step's state. It stops at the first iterate where |F|_inf and vol |sum F|
-    are CERTIFICATE_MARGIN times under the contract and the Gauss gate and |G|
-    and |H|_inf meet MASS_RTOL; a stagnated line search raises.
+    step's state, and the line search holds only the state's grid, the step
+    and one trial (module docstring, Memory). It stops at the first iterate
+    where |F|_inf and vol |sum F| are CERTIFICATE_MARGIN times under the
+    contract and the Gauss gate and |G| and |H|_inf meet MASS_RTOL; a
+    stagnated line search raises.
 
     Each Newton step builds the shifted spectrum of M = -eps^2 Lap_h +
     mean(w) once, in float32. Its DST inverse is exact (to float32
@@ -514,9 +572,10 @@ def solve_uhat(ubar, g, epsilon, warm=None):
     ax = grid.axis()
     face_index, face_rows = _face_nodes(grid)
     if warm is None:
-        uh, border_columns, border_newton = _quasi_neutral_guess(ubar, g, eps2, h), None, None
+        # the guess is a new grid, so it becomes the start state's own
+        u, border_columns, border_newton = _quasi_neutral_guess(ubar, g, eps2, h), None, None
     else:
-        uh = warm.uhat.values
+        u = warm.uhat.values.copy()
         border_columns, border_newton = warm.border_columns, warm.border_newton
     carried = border_columns is not None
 
@@ -525,11 +584,13 @@ def solve_uhat(ubar, g, epsilon, warm=None):
     cg_total = 0
     accepted = 0
 
-    def _state(interior, mu, c):
-        """The iterate with boundary row -mu K(c), its source, residuals and merit."""
+    def _state(u, mu, c):
+        """The iterate with boundary row -mu K(c), its source, residuals and merit.
+
+        ``u`` is a new grid holding the interior values; the boundary row is
+        written into its faces, and the state owns it.
+        """
         kd = _face_kernel(grid, c, eps2)
-        u = np.empty_like(ubv)
-        u[inner] = interior
         u.reshape(-1)[face_index] = -mu * kd[0]
         # the exponent is evaluated as one sum: Ubar and Uhat cancel to O(1)
         # in the screened bulk while each alone overflows exp at small eps.
@@ -638,10 +699,14 @@ def solve_uhat(ubar, g, epsilon, warm=None):
         return delta, step
 
     with np.errstate(over="ignore", invalid="ignore"):
-        src = g.values * np.exp(ubv + uh)
+        src = ubv + u
+        np.exp(src, out=src)
+        src *= g.values
         # the electron mass uses the same all-nodes sum as the ion mass so the
         # two monopole closures cancel exactly at neutrality
-        state = _state(uh[inner], float(src.sum()) * vol, _centroid(src, grid))
+        mu, c = float(src.sum()) * vol, _centroid(src, grid)
+        del src
+        state = _state(u, mu, c)
     # a trial is accepted only at a finite merit, so only the start can overflow
     if not math.isfinite(state.total):
         raise FieldSolveError(
@@ -669,10 +734,14 @@ def solve_uhat(ubar, g, epsilon, warm=None):
             )
 
         delta, step = _newton_step(state)
+        # the line search reads only the state's u, merit, mu and c
+        state.src = state.f = None
 
         alpha = 1.0
         for _ in range(31):
-            trial = _state(state.u[inner] + delta, mu + alpha * step[0], c + alpha * step[1:])
+            u = np.empty_like(ubv)
+            np.add(state.u[inner], delta, out=u[inner])
+            trial = _state(u, mu + alpha * step[0], c + alpha * step[1:])
             if trial.merit < state.merit:
                 state = trial
                 accepted += 1
@@ -685,6 +754,8 @@ def solve_uhat(ubar, g, epsilon, warm=None):
                 f"({imbalance}); retry from a warm start near the solution",
                 residual=res,
             )
+        # the step dies here, not in the next step's CG
+        del delta
 
     worst = float(state.u.max())
     if worst > UHAT_POSITIVE_TOL:
@@ -750,9 +821,11 @@ def gauss_imbalance(u, rho, source, epsilon):
 def solve_field(rho, g, epsilon, warm=None):
     """Full potential/field solve for a deposited ion density.
 
-    ``warm``, an earlier FieldSolution on the same grid, starts the electron
-    solve from its Uhat and its border columns, which the solve refreshes
-    when it needs more Newton steps than the first warm solve on them.
+    ``warm``, an earlier FieldSolution on the same grid or its
+    ``warm_start``, starts the electron solve from its Uhat and its border
+    columns, which the solve refreshes when it needs more Newton steps than
+    the first warm solve on them. U = Ubar + Uhat is built once, for the
+    Gauss audit and E = -grad U, and is not kept.
     """
     if rho.grid != g.grid:
         raise ValueError("ion density and background live on different grids")
@@ -773,7 +846,6 @@ def solve_field(rho, g, epsilon, warm=None):
         )
     e = gradient(u)
     return FieldSolution(
-        u=u,
         ubar=ubar,
         uhat=hat.field,
         # negated in place, so no second (N, N, N, 3) array; negation is exact
@@ -793,7 +865,6 @@ def zero_solution(grid, epsilon):
     """Field-off placeholder: identically zero potentials and fields."""
     zs = ScalarField(grid, np.zeros((grid.nodes,) * 3))
     return FieldSolution(
-        u=zs,
         ubar=zs,
         uhat=zs,
         e=VectorField(grid, kernels.component_major((grid.nodes,) * 3, zeros=True)),

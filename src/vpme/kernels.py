@@ -233,8 +233,17 @@ def pairwise_sum(n, leaf):
 
 
 def row_norm2(a):
-    """Squared Euclidean norm of each 3-vector of an (..., 3) array, summed x, y, then z."""
-    return (a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]) + a[..., 2] * a[..., 2]
+    """Squared Euclidean norm of each 3-vector of an (..., 3) array, summed x, y, then z.
+
+    (x*x + y*y) + z*z is accumulated into the output with one scratch array
+    for the squares, so it works in two arrays of the output's size.
+    """
+    out = a[..., 0] * a[..., 0]
+    sq = np.multiply(a[..., 1], a[..., 1])
+    out += sq
+    np.multiply(a[..., 2], a[..., 2], out=sq)
+    out += sq
+    return out
 
 
 def _flat_view(out):

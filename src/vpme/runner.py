@@ -8,13 +8,20 @@ directory and walk a sweep's members through one reader of its index.
 Loop shape: kick-drift-kick with the current field, as two passes over the
 ion blocks with the midpoint current deposited between them on a checkpoint
 step -> deposit rho -> solve the field, strictly in that order; the
-electron solve warm-starts from the previous step's solution, its
-correction and its Newton border columns.
+electron solve warm-starts from the previous step's correction Uhat and its
+Newton border columns.
 t = 0 is the deposit and solve without a push.
+The push is the last reader of the old field: right after it, only the old
+solution's warm start (``FieldSolution.warm_start``: Uhat, the border
+columns and their Newton count) is kept, so the old E and Ubar are freed
+before the deposit and are not held through the next field solve. A
+field-off run keeps its zero solution.
 Each deposit is followed by the escaped-mass gate. On a checkpoint step the
 midpoint current and the two densities give the continuity residual right
 after the deposit, so that neither the current nor the old density is held
-through the field solve. Each checkpoint (t = 0, every
+through the field solve. Between steps the run holds, on the grid side,
+the background g, the density rho and the solution: Ubar, Uhat, the three
+components of E and the border columns. Each checkpoint (t = 0, every
 ``checkpoint_every`` steps and the last step) is then one pass: one
 ``DiagnosticsAccumulator.record`` call appends the rows of both
 timeseries.csv and fields.csv, the step-size advisories are merged, and the
@@ -172,6 +179,9 @@ def run(cfg, out_dir, seed=None):
         for n in range(1, steps + 1):
             checkpoint = n % cfg.time.checkpoint_every == 0 or n == steps
             j_mid = pusher.step(ens, sol.e, dt, cic, midpoint=checkpoint)
+            if selfconsistent:
+                # the push read the old field last; the next solve reads only this
+                sol = sol.warm_start
             rho_prev, rho = rho, _deposit(n)
             if checkpoint:
                 cres = diagnostics.continuity_residual(rho_prev, rho, j_mid, dt)

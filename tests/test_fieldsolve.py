@@ -11,6 +11,7 @@ import inspect
 import math
 import re
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -829,8 +830,45 @@ def test_gauss_defect_over_the_gate_raises(monkeypatch):
 def test_cached_grid_arrays_are_read_only():
     grid = GridSpec(half_width=2.0, nodes=16)
     sines = (fs._sine_matrix(14, np.dtype(np.float64)), fs._sine_matrix(14, np.dtype(np.float32)))
-    for arr in (fs._neg_lap_eigs(14, grid.spacing), *sines, *fs._face_nodes(grid)):
+    for arr in (fs._neg_lap_eigs_1d(14, grid.spacing), *sines, *fs._face_nodes(grid)):
         assert not arr.flags.writeable
+
+
+def test_u_is_derived_bitwise_from_ubar_and_uhat():
+    # U is not stored: each access adds Ubar and Uhat into a new grid, which
+    # a checkpoint may work in place, and E is minus its gradient
+    rho, g = _small_problem()
+    sol = fs.solve_field(rho, g, 0.5)
+    u = sol.u.values
+    assert u.tobytes() == (sol.ubar.values + sol.uhat.values).tobytes()
+    assert not np.shares_memory(u, sol.u.values)
+    assert np.negative(fs.gradient(sol.u)).tobytes() == sol.e.values.tobytes()
+    warm = sol.warm_start
+    assert warm.uhat is sol.uhat and warm.border_columns is sol.border_columns
+    assert warm.border_newton == sol.border_newton
+
+
+def test_run_frees_the_previous_solution_before_each_warm_solve(monkeypatch, tmp_path):
+    # the push is the old field's last reader: of the previous solution only
+    # its warm start reaches the next solve, so its E and Ubar are gone
+    solve = fs.solve_field
+    held, alive = [], []
+
+    def wrapped(rho, g, epsilon, warm=None):
+        if warm is not None:
+            alive.append([ref() is not None for ref in held[-1]])
+        sol = solve(rho, g, epsilon, warm=warm)
+        held.append((weakref.ref(sol.e.values), weakref.ref(sol.ubar.values)))
+        return sol
+
+    monkeypatch.setattr(fs, "solve_field", wrapped)
+    cfg = make_scenario(
+        grid=GridSpec(half_width=4.0, nodes=16),
+        time=TimeSpec(dt=0.01, t_end=0.03, checkpoint_every=2),
+        count=2000,
+    )
+    runner.run(cfg, tmp_path / "run")
+    assert alive == [[False, False]] * 3
 
 
 def test_zero_solution_placeholder_shape():

@@ -417,6 +417,49 @@ def test_checkpoint_and_deposit_working_memory_is_per_block(call):
     assert peak < 1.5e6
 
 
+def test_warm_solve_and_checkpoint_working_memory_in_grids(monkeypatch, tmp_path):
+    # the quasi-neutral workload's shape (32^3 nodes, 2e4 ions, eps 0.1): the
+    # traced peak of a call above the memory live when it starts, in grids of
+    # N^3 float64. Holding the previous solution, the Newton states' sources
+    # and residuals and the whole gradient and |E|^2, they read 11.9 (warm
+    # solve_field) and 8.0 (record)
+    cfg = small_scenario(
+        grid=mesh.GridSpec(half_width=4.0, nodes=32),
+        epsilon=0.1,
+        count=20_000,
+        time=pusher.TimeSpec(dt=0.005, t_end=0.01, checkpoint_every=1),
+    )
+    grid_bytes = 8.0 * cfg.grid.nodes**3
+    peaks = {"warm solve_field": [], "record": []}
+
+    def traced(name, fn):
+        def call(*args, **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            peaks[name].append((tracemalloc.get_traced_memory()[1] - live) / grid_bytes)
+            return out
+
+        return call
+
+    solve, solve_warm = fieldsolve.solve_field, traced("warm solve_field", fieldsolve.solve_field)
+
+    def solve_field(rho, g, eps, warm=None):
+        return (solve if warm is None else solve_warm)(rho, g, eps, warm=warm)
+
+    monkeypatch.setattr(fieldsolve, "solve_field", solve_field)
+    record = diagnostics.DiagnosticsAccumulator.record
+    monkeypatch.setattr(diagnostics.DiagnosticsAccumulator, "record", traced("record", record))
+    tracemalloc.start()
+    try:
+        runner.run(cfg, tmp_path / "run")
+    finally:
+        tracemalloc.stop()
+    assert len(peaks["warm solve_field"]) == 2 and len(peaks["record"]) == 3
+    assert max(peaks["warm solve_field"]) <= 10.0
+    assert max(peaks["record"]) <= 6.0
+
+
 def test_memory_peaks_reads_every_phase_of_a_smoke_run():
     # benchmarks/memory_peaks.py wraps the phases by module attribute, so a
     # renamed phase must break a test, not the table
@@ -426,14 +469,16 @@ def test_memory_peaks_reads_every_phase_of_a_smoke_run():
     spec.loader.exec_module(peaks)
     step, record = pusher.step, diagnostics.DiagnosticsAccumulator.record
     got = peaks.measure(peaks._workloads().SMOKE["dense-ions"], 1234, traced=True)
-    # 2 steps, each a checkpoint
+    # 2 steps, each a checkpoint, and 4 snapshot files per checkpoint
     assert {phase: calls for phase, (calls, _, _) in got["phases"].items()} == {
         "particles.sample_initial": 1,
         "kernels.cic_setup": 1,
         "mesh.deposit_density": 3,
         "pusher.step": 2,
+        "diagnostics.continuity_residual": 2,
         "fieldsolve.solve_field": 3,
         "diagnostics.record": 3,
+        "mesh.write_field": 12,
     }
     assert all(0 <= live < peak for _, peak, live in got["phases"].values())
     assert got["maxrss_mb"] > 0.0 and got["loop_faults"] >= 0

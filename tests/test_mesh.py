@@ -131,6 +131,27 @@ def test_snapshot_round_trip(tmp_path):
         assert (back.values == field.values).all()
 
 
+def test_snapshot_data_is_the_c_order_bytes_of_the_values(tmp_path):
+    # written in runs of first-axis planes, the data are still the whole
+    # array's little-endian C-order bytes, for E's component-major view too
+    n = 41
+    g = GridSpec(half_width=2.0, nodes=n)
+    scal = ScalarField(g, RNG.standard_normal((n, n, n)))
+    vec = VectorField(g, RNG.standard_normal((n, n, n, 3)))
+    # both fields take several runs of planes and a shorter last one
+    for plane_bytes in (8 * n * n, 24 * n * n):
+        assert 1 < mesh.SNAPSHOT_CHUNK // plane_bytes < n
+        assert n % (mesh.SNAPSHOT_CHUNK // plane_bytes)
+    assert not vec.values.flags.c_contiguous
+    for name, field in (("u", scal), ("e", vec)):
+        path = tmp_path / f"{name}.field"
+        mesh.write_field(path, name, field)
+        data = np.asarray(field.values, "<f8").tobytes(order="C")
+        raw = path.read_bytes()
+        assert raw[-len(data):] == data
+        assert len(raw) == len(mesh.SNAPSHOT_MAGIC) + 4 + len(name) + 24 + len(data)
+
+
 def test_snapshot_rejects_bad_magic_and_truncation(tmp_path):
     g = GridSpec(half_width=2.0, nodes=9)
     path = tmp_path / "u.field"
