@@ -10,11 +10,11 @@ The shape is the physics of the ``quasi-neutral`` benchmark workload:
 one checkpoint at the end. Each row is one ``vpme.runner.run`` into a temporary
 directory, in this process. A wrapper around ``fieldsolve.solve_uhat``
 counts the warm solves, those after t = 0: their Newton steps, CG
-iterations, CPU time (``time.process_time``) and how many of them re-solved
-their border columns. A wrapper around ``fieldsolve.solve_field`` reads the
-certificate margins of the same solves: the worst contract residual
-``residual_inf / max(1, max g e^U)`` and the worst |Gauss defect|. The last
-column is the wall time of the whole run. A run that aborts prints its
+iterations and CPU time (``time.process_time``). A wrapper around
+``fieldsolve.solve_field`` reads the certificate margins of the same
+solves: the worst contract residual ``residual_inf / max(1, max g e^U)``
+and the worst |Gauss defect|. The last column is the wall time of the
+whole run. A run that aborts prints its
 error in place of its totals. The vpme under ``src/`` next to this file is
 the one measured; BLAS runs on one thread unless the environment already
 sets ``OPENBLAS_NUM_THREADS``.
@@ -27,8 +27,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (eps, steps): the quasi-neutral workload's, then longer runs down to eps 0.0025
-ROWS = ((0.1, 6), (0.1, 60), (0.02, 40), (0.01, 20), (0.005, 6), (0.0025, 3))
+# (eps, steps): the quasi-neutral workload's, then longer runs down to eps 0.001
+ROWS = ((0.1, 6), (0.1, 60), (0.02, 40), (0.01, 20), (0.005, 6), (0.0025, 3), (0.001, 3))
 
 
 def _row(eps, steps):
@@ -52,8 +52,7 @@ def _row(eps, steps):
             return solve_uhat(*args, **kwargs)
         start = time.process_time()
         hat = solve_uhat(*args, **kwargs)
-        refreshed = hat.border_columns is not kwargs["warm"].border_columns
-        warm.append((hat.iterations, hat.cg_iterations, time.process_time() - start, refreshed))
+        warm.append((hat.iterations, hat.cg_iterations, time.process_time() - start))
         return hat
 
     def audited(rho, g, *args, **kwargs):
@@ -73,11 +72,11 @@ def _row(eps, steps):
         return f"| {eps:g} | {steps} | abort after {len(warm)} warm solves: {exc} |"
     finally:
         fieldsolve.solve_uhat, fieldsolve.solve_field = solve_uhat, solve_field
-    newton, cg, cpu, refreshes = (sum(col) for col in zip(*warm))
+    newton, cg, cpu = (sum(col) for col in zip(*warm))
     residual, gauss = (max(col) for col in zip(*margins))
     per_solve = " ".join(str(n) for n, *_ in warm)
     return (
-        f"| {eps:g} | {steps} | {newton} / {cg} | {cpu:.2f} s | {refreshes} | {residual:.1e} "
+        f"| {eps:g} | {steps} | {newton} / {cg} | {cpu:.2f} s | {residual:.1e} "
         f"| {gauss:.1e} | {per_solve} | {wall:.2f} s |"
     )
 
@@ -87,10 +86,10 @@ def main():
         os.environ.setdefault(var, "1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     print(
-        "| eps | steps | warm Newton / CG | warm CPU | refreshes | worst residual / scale "
+        "| eps | steps | warm Newton / CG | warm CPU | worst residual / scale "
         "| worst abs Gauss | Newton per warm solve | run |"
     )
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for eps, steps in ROWS:
         print(_row(eps, steps), flush=True)
     return 0

@@ -16,19 +16,18 @@ Phys. 193, 2004: every unknown the residual depends on is in the Jacobian).
 
 The linear solve is a type-1 DST diagonalization, exact for this stencil and
 checked once against the contract residual. The nonlinear solve is damped
-Newton, started cold from the screening guess log(rho/g) - Ubar; the four
-scalar unknowns are eliminated by a Schur complement, whose border columns
-A^-1 [dF/dmu, dF/dc] are a cache of A^-1 B carried by the returned
-FieldSolution to the next, warm-started solve. Inexact Newton assumes a
-Jacobian that matches the iterate (Knoll & Keyes 2004), so the cache is
-kept at a converged operator: a cold solve solves the columns at its first
-step, for its own Newton, and again at its converged state, which it
-returns; a warm solve reuses the columns it is given, and the first warm
-solve to take Newton steps on them records how many it took. A later warm
-solve that needs more steps than that re-solves them at its own converged
-state into a new array. Each Newton step is then one conjugate-gradient
-solve on A = -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the
-DST inverse of M = -eps^2 Lap + mean(w); the ion part uses the same shifted DST
+Newton, started cold from the screening guess log(rho/g) - Ubar, or warm
+from the better of the previous Uhat and the previous total potential less
+the new Ubar; the four scalar unknowns are eliminated by a Schur
+complement, whose border columns A^-1 [dF/dmu, dF/dc] are a cache of
+A^-1 B carried by the returned FieldSolution to the next, warm-started
+solve. Inexact Newton assumes a Jacobian that matches the iterate (Knoll &
+Keyes 2004), so the cache is kept at a converged operator: a cold solve
+solves the columns at its first step, for its own Newton, and again at its
+converged state, which it returns; a warm solve reuses the columns it is
+given. Each Newton step is then one conjugate-gradient solve on
+A = -eps^2 Lap + diag(w), w = g exp(U) >= 0, preconditioned by the DST
+inverse of M = -eps^2 Lap + mean(w); the ion part uses the same shifted DST
 solve with shift 0. That inverse is exact, so for z = M^-1 r the product
 A z = r + (w - mean(w)) z needs no stencil, and CG keeps A p by recurrence
 from it (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981): the CG loop only
@@ -38,7 +37,7 @@ One evaluator gives the state of an electron iterate: it puts the boundary
 row -mu K(c) around the interior values and returns the grid, the source
 g exp(Ubar + Uhat), the residuals F = eps^2 Lap_h Uhat - source,
 G = vol sum(source) - mu and H = c sum(source) - sum(source x), and the
-line-search merit. The start and every line-search trial call it; the
+line-search merit. The starts and every line-search trial call it; the
 accepted trial's state is the next Newton step's state, so a step evaluates
 the full grid once. K and dK/dc live on a cached list of the face nodes.
 The loop leaves through one positivity check and one return.
@@ -68,12 +67,13 @@ solve's own summed defect) with a margin of CERTIFICATE_MARGIN.
 
 Memory. A FieldSolution keeps Ubar, Uhat, E (three grids) and the border
 columns; U = Ubar + Uhat is derived on access. A warm solve reads only the
-previous solution's ``warm_start`` (Uhat and the border columns), so a
-caller may drop the rest once it has read E. Inside ``solve_uhat`` every
-grid dies with its last reader: the start's source once the electron mass
-and centroid are read, a Newton state's source and residual once its
-Newton step is computed (the line search reads only its grid, merit, mu
-and c), the step once a trial is accepted. Each trial adds the step into
+previous solution's ``warm_start`` (Uhat, Ubar and the border columns), so
+a caller may drop E once it has read it. Inside ``solve_uhat`` every
+grid dies with its last reader: a start's source once the electron mass
+and centroid are read, the losing warm start before the first Newton
+step, a Newton state's source and residual once its Newton step is
+computed (the line search reads only its grid, merit, mu and c), the step
+once a trial is accepted. Each trial adds the step into
 the interior of its own new grid, with no interior temporary, and a cold
 start's screening guess is the start state's grid. The DST solve caches
 only the 1-D eigenvalues and the sine matrices; each shifted spectrum is
@@ -137,8 +137,6 @@ class UhatResult:
     cg_iterations: int = 0
     # A^-1 [dF/dmu, dF/dc / mu] as a float32 (4, m, m, m) array; None if never solved
     border_columns: np.ndarray = None
-    # Newton steps of the first warm solve that reused border_columns; None until one has
-    border_newton: int = None
     # g e^(Ubar + Uhat) on the full grid at the returned Uhat, for the Gauss audit
     source: np.ndarray = None
 
@@ -147,8 +145,8 @@ class WarmStart(NamedTuple):
     """What a warm electron solve reads of the solution it starts from."""
 
     uhat: ScalarField
+    ubar: ScalarField
     border_columns: np.ndarray
-    border_newton: int
 
 
 @dataclass
@@ -168,10 +166,8 @@ class FieldSolution:
     gauss_imbalance: float
     newton_history: list = field(default_factory=list)
     cg_iterations: int = 0
-    # the electron solve's border columns, reused by a solve warm-started from this
-    # one, and UhatResult.border_newton, which decides when that solve refreshes them
+    # the electron solve's border columns, reused by a solve warm-started from this one
     border_columns: np.ndarray = None
-    border_newton: int = None
 
     @property
     def u(self):
@@ -180,7 +176,7 @@ class FieldSolution:
     @property
     def warm_start(self):
         """The part of this solution that a solve warm-started from it reads."""
-        return WarmStart(self.uhat, self.border_columns, self.border_newton)
+        return WarmStart(self.uhat, self.ubar, self.border_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +504,15 @@ def solve_uhat(ubar, g, epsilon, warm=None):
     """Damped-Newton solve of eps^2 Lap Uhat = g exp(Ubar + Uhat).
 
     ``warm``, an earlier FieldSolution on the same grid or its
-    ``warm_start``, warm-starts the iteration from its ``uhat`` and hands
-    over its ``border_columns`` and ``border_newton``, the only attributes
-    read. Without it the solve starts cold, from the
+    ``warm_start`` (only ``uhat``, ``ubar`` and ``border_columns`` are
+    read), warm-starts the iteration. Of two starts, Uhat_prev and the
+    previous total potential less the new Ubar, Uhat_prev + (Ubar_prev -
+    Ubar), it keeps the one with the smaller |F|_inf, Uhat_prev on a tie.
+    Below eps 0.05 Ubar moves by O(d rho / eps^2) per step and U by about
+    d rho / rho: on the quasi-neutral shape at eps 0.005 the warm solves
+    take 4 Newton steps each from U_prev and climb to 81 from Uhat_prev
+    alone.
+    Without it the solve starts cold, from the
     quasi-neutral screening guess at every eps: on the workload shapes it
     is never more than one Newton step behind a zero start, and from eps
     0.3 down it saves 3 or more (6 against 17 at eps 0.15). A background
@@ -529,17 +531,9 @@ def solve_uhat(ubar, g, epsilon, warm=None):
     complement. Its border columns A^-1 [dF/dmu, dF/dc] are solved at the
     first step of a call given none, for that call's own Newton, and again
     at its converged state: those are the ones returned. A call given
-    columns reuses them, so a step is one interior CG solve for the
-    residual. ``warm.border_newton`` is the Newton count of the first call
-    that took steps on the given columns (None until one has): a call given
-    None returns its own count, a call that needs more steps than it
-    re-solves the columns at its converged state into a new array (the
-    given one is never written) and returns None. A
-    warm solve held by stale columns contracts about as slowly as its
-    columns are old: on the quasi-neutral workload (eps 0.1) the first
-    warm solve took 4 Newton steps on the columns of the screening guess
-    and takes 3 on those of the converged t = 0 state. The
-    line search moves the interior, mu and c together on the merit
+    columns reuses them and returns them unwritten, so a step is one
+    interior CG solve for the residual. The line search moves the
+    interior, mu and c together on the merit
     max(|F|_inf, |G|, vol |H|_inf); the accepted trial's state is the next
     step's state, and the line search holds only the state's grid, the step
     and one trial (module docstring, Memory). It stops at the first iterate
@@ -571,12 +565,7 @@ def solve_uhat(ubar, g, epsilon, warm=None):
     inner = np.s_[1:-1, 1:-1, 1:-1]
     ax = grid.axis()
     face_index, face_rows = _face_nodes(grid)
-    if warm is None:
-        # the guess is a new grid, so it becomes the start state's own
-        u, border_columns, border_newton = _quasi_neutral_guess(ubar, g, eps2, h), None, None
-    else:
-        u = warm.uhat.values.copy()
-        border_columns, border_newton = warm.border_columns, warm.border_newton
+    border_columns = None if warm is None else warm.border_columns
     carried = border_columns is not None
 
     ubv = ubar.values
@@ -698,15 +687,31 @@ def solve_uhat(ubar, g, epsilon, warm=None):
         delta += (coefs @ border_columns.reshape(4, -1)).reshape(z.shape)
         return delta, step
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        src = ubv + u
-        np.exp(src, out=src)
-        src *= g.values
-        # the electron mass uses the same all-nodes sum as the ion mass so the
-        # two monopole closures cancel exactly at neutrality
-        mu, c = float(src.sum()) * vol, _centroid(src, grid)
+    def _start(u):
+        """The start state of the new grid ``u``, with mu and c read from its own source."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            src = ubv + u
+            np.exp(src, out=src)
+            src *= g.values
+            # the electron mass uses the same all-nodes sum as the ion mass so
+            # the two monopole closures cancel exactly at neutrality
+            mu, c = float(src.sum()) * vol, _centroid(src, grid)
         del src
-        state = _state(u, mu, c)
+        return _state(u, mu, c)
+
+    if warm is None:
+        state = _start(_quasi_neutral_guess(ubar, g, eps2, h))
+    else:
+        state = _start(warm.uhat.values.copy())
+        # the previous total potential less the new Ubar, Uhat_prev +
+        # (Ubar_prev - Ubar): bitwise Uhat_prev where Ubar did not move
+        u = warm.ubar.values - ubv
+        u += warm.uhat.values
+        other = _start(u)
+        # keep the smaller |F|_inf, Uhat_prev on a tie
+        if other.res < state.res:
+            state = other
+        del u, other
     # a trial is accepted only at a finite merit, so only the start can overflow
     if not math.isfinite(state.total):
         raise FieldSolveError(
@@ -764,17 +769,11 @@ def solve_uhat(ubar, g, epsilon, warm=None):
             residual=res,
         )
     # the columns belong to the state they were solved at: a solve given none
-    # re-solves its own at the converged state, and a warm solve that needed
-    # more Newton steps than the first warm solve on its columns re-solves
-    # them into a new array, leaving the caller's untouched
-    if not carried or (border_newton is not None and accepted > border_newton):
+    # re-solves its own at the converged state
+    if not carried:
         border_columns = _border(
-            state, *_operator(state), None if carried else border_columns, accepted,
-            " at the converged state",
+            state, *_operator(state), border_columns, accepted, " at the converged state"
         )
-        border_newton = None
-    elif border_newton is None and accepted:
-        border_newton = accepted
     return UhatResult(
         field=ScalarField(grid, state.u),
         iterations=accepted,
@@ -782,7 +781,6 @@ def solve_uhat(ubar, g, epsilon, warm=None):
         history=history,
         cg_iterations=cg_total,
         border_columns=border_columns,
-        border_newton=border_newton,
         source=state.src,
     )
 
@@ -822,9 +820,8 @@ def solve_field(rho, g, epsilon, warm=None):
     """Full potential/field solve for a deposited ion density.
 
     ``warm``, an earlier FieldSolution on the same grid or its
-    ``warm_start``, starts the electron solve from its Uhat and its border
-    columns, which the solve refreshes when it needs more Newton steps than
-    the first warm solve on them. U = Ubar + Uhat is built once, for the
+    ``warm_start``, warm-starts the electron solve (``solve_uhat``) and
+    hands it its border columns. U = Ubar + Uhat is built once, for the
     Gauss audit and E = -grad U, and is not kept.
     """
     if rho.grid != g.grid:
@@ -857,7 +854,6 @@ def solve_field(rho, g, epsilon, warm=None):
         newton_history=hat.history,
         cg_iterations=hat.cg_iterations,
         border_columns=hat.border_columns,
-        border_newton=hat.border_newton,
     )
 
 

@@ -8,14 +8,14 @@ directory and walk a sweep's members through one reader of its index.
 Loop shape: kick-drift-kick with the current field, as two passes over the
 ion blocks with the midpoint current deposited between them on a checkpoint
 step -> deposit rho -> solve the field, strictly in that order; the
-electron solve warm-starts from the previous step's correction Uhat and its
+electron solve warm-starts from the previous step's Uhat and Ubar and its
 Newton border columns.
 t = 0 is the deposit and solve without a push.
 The push is the last reader of the old field: right after it, only the old
-solution's warm start (``FieldSolution.warm_start``: Uhat, the border
-columns and their Newton count) is kept, so the old E and Ubar are freed
-before the deposit and are not held through the next field solve. A
-field-off run keeps its zero solution.
+solution's warm start (``FieldSolution.warm_start``: Uhat, Ubar and the
+border columns) is kept, so the old E is freed before the deposit and is
+not held through the next field solve. A field-off run keeps its zero
+solution.
 Each deposit is followed by the escaped-mass gate. On a checkpoint step the
 midpoint current and the two densities give the continuity residual right
 after the deposit, so that neither the current nor the old density is held
